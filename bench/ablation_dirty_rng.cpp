@@ -19,7 +19,6 @@ void report_equilibrium(const char* name, core::RngMode mode) {
   cfg.nx = 24;
   cfg.ny = 24;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = 0.2;
   cfg.lambda_inf = 0.0;
@@ -68,7 +67,8 @@ int main() {
     cfg.rng_mode = mode;
     core::SimulationF sim(cfg);
     const auto f = cmdsmc::bench::run_and_average_fixed(sim, scale);
-    const auto fit = io::measure_oblique_shock(f, *sim.wedge());
+    const auto fit = io::measure_oblique_shock(
+        f, cmdsmc::bench::analysis_wedge(cfg));
     std::printf("%-12s %12.2f %12.2f\n", name, fit.angle_deg,
                 fit.density_ratio);
   }

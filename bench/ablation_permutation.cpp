@@ -47,7 +47,6 @@ int main() {
     cfg.nx = 24;
     cfg.ny = 24;
     cfg.closed_box = true;
-    cfg.has_wedge = false;
     cfg.mach = 0.01;
     cfg.sigma = 0.2;
     cfg.lambda_inf = 0.0;

@@ -18,7 +18,6 @@ int main() {
   cfg.nx = 24;
   cfg.ny = 24;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = 0.05;  // cold: stagnation-like magnitudes
   cfg.lambda_inf = 0.0;

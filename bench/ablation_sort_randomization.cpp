@@ -93,7 +93,6 @@ void run_mode(bool randomize, const char* name) {
   cfg.nx = 24;
   cfg.ny = 24;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   // Cold gas: a particle stays in its cell for ~50 steps, so pairing changes
   // only through the key randomization.

@@ -45,7 +45,8 @@ void run_mode(geom::UpstreamMode mode, const char* name,
   const double sd = std::sqrt(std::max(0.0, m2 / probes - mean * mean));
   sim.set_sampling(true);
   sim.run(scale.avg_steps / 2);
-  const auto fit = io::measure_oblique_shock(sim.field(), *sim.wedge());
+  const auto fit =
+      io::measure_oblique_shock(sim.field(), bench::analysis_wedge(cfg));
   std::printf("%-14s %12.3f %12.3f %14llu %12.2f %12.2f\n", name, mean, sd,
               static_cast<unsigned long long>(sim.counters().injected),
               fit.angle_deg, fit.density_ratio);

@@ -23,7 +23,6 @@ core::SimConfig tandem_config(double ppc, bool second_body) {
   cfg.sigma = 0.12;
   cfg.lambda_inf = 0.5;
   cfg.particles_per_cell = ppc;
-  cfg.has_wedge = false;
   cfg.body = geom::Body::Cylinder(36.0, 32.0, 6.0, 72);
   if (second_body)
     cfg.bodies.push_back(geom::Body::Cylinder(92.0, 32.0, 6.0, 72));

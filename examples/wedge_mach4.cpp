@@ -9,8 +9,7 @@
 // Any scenario override is accepted (see `cmdsmc describe wedge-mach4`),
 // e.g.:
 //   wedge_mach4 mach=5 lambda=0.5 steady=1200 avg=2000
-//   wedge_mach4 body.kind=wedge            # generalized-body path +
-//                                          # per-segment surface CSV
+//   wedge_mach4 wall=diffuse_isothermal    # no-slip wedge surface
 //   wedge_mach4 precision=fixed            # the paper's Q8.23 engine
 //
 // The paper-size run is ppc=73 steady=1200 avg=2000.

@@ -85,9 +85,7 @@ std::string body_string(const scenario::ScenarioSpec& s) {
     if (!out.empty()) out += " + ";
     out += scenario::body_kind_name(b.kind);
   }
-  if (!out.empty()) return out;
-  if (s.config.has_wedge) return "wedge (legacy)";
-  return "none";
+  return out.empty() ? "none" : out;
 }
 
 int cmd_describe_all() {

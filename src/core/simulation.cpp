@@ -49,9 +49,8 @@ enum Salt : std::uint64_t {
 
 SimConfig validated(SimConfig cfg) {
   // A body whose segment walls were never customized inherits the config's
-  // global wall model, so migrating a diffuse-wall setup from the wedge
-  // fields to cfg.body / cfg.bodies does not silently fall back to specular
-  // walls.
+  // global wall model, so a `wall=` setting reaches every body that does
+  // not choose its own.
   if (cfg.wall != geom::WallModel::kSpecular) {
     if (cfg.body && !cfg.body->any_diffuse())
       cfg.body->set_wall_model(cfg.wall, cfg.wall_sigma);
@@ -68,12 +67,6 @@ geom::Grid make_grid(const SimConfig& cfg) {
   return g;
 }
 
-std::optional<geom::Wedge> make_wedge(const SimConfig& cfg) {
-  // Any generalized body replaces the wedge-specific path when present.
-  if (cfg.has_body_scene() || !cfg.has_wedge) return std::nullopt;
-  return geom::Wedge(cfg.wedge_x0, cfg.wedge_base, cfg.wedge_angle_rad());
-}
-
 geom::Scene make_scene(const SimConfig& cfg) {
   if (!cfg.has_body_scene()) return geom::Scene{};
   std::vector<geom::Body> bodies;
@@ -84,12 +77,10 @@ geom::Scene make_scene(const SimConfig& cfg) {
 }
 
 std::vector<double> make_open_fraction(const geom::Grid& grid,
-                                       const std::optional<geom::Wedge>& w,
                                        const geom::Scene& scene) {
-  if (!scene.empty()) return scene.open_fraction_table(grid);
-  if (!w) return std::vector<double>(static_cast<std::size_t>(grid.ncells()),
-                                     1.0);
-  return w->open_fraction_table(grid);
+  if (scene.empty())
+    return std::vector<double>(static_cast<std::size_t>(grid.ncells()), 1.0);
+  return scene.open_fraction_table(grid);
 }
 
 // Axisymmetric cell volumes: the cell (ix, iy) is the unit-width annulus
@@ -114,9 +105,8 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
     : cfg_(validated(cfg)),
       pool_(pool != nullptr ? pool : &cmdp::ThreadPool::global()),
       grid_(make_grid(cfg_)),
-      wedge_(make_wedge(cfg_)),
       scene_(make_scene(cfg_)),
-      open_frac_(make_open_fraction(grid_, wedge_, scene_)),
+      open_frac_(make_open_fraction(grid_, scene_)),
       cell_volume_(make_cell_volume(cfg_, grid_)),
       rule_(physics::SelectionRule::make(cfg_.gas, cfg_.lambda_inf, cfg_.sigma,
                                          cfg_.particles_per_cell)),
@@ -161,7 +151,6 @@ void Simulation<Real>::rebuild_interior_mask() {
   bc.y_max = grid_.ny;
   bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
   bc.scene = &scene_;
-  bc.wedge = wedge_ ? &wedge_.value() : nullptr;
   const bool plunger_active =
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kPlunger;
   const double reach = plunger_active ? cfg_.plunger_trigger + u_inf_ : 0.0;
@@ -249,7 +238,7 @@ void Simulation<Real>::init_particles() {
     do {
       x = g.next_double() * nx;
       y = g.next_double() * ny;
-    } while ((wedge_ && wedge_->inside(x, y)) || scene_.inside(x, y));
+    } while (scene_.inside(x, y));
     const double z = grid_.is3d() ? g.next_double() * nz : 0.0;
     store_.x[i] = N::from_double(x);
     store_.y[i] = N::from_double(y);
@@ -528,17 +517,12 @@ void Simulation<Real>::phase_move_and_boundaries() {
   bc.y_max = grid_.ny;
   bc.z_max = grid_.is3d() ? grid_.nz : 0.0;
   bc.scene = &scene_;
-  bc.wedge = wedge_ ? &wedge_.value() : nullptr;
   bc.plunger_x = plunger_.x + void_width;  // pre-withdrawal face position
   bc.plunger_speed = u_inf_;
   bc.plunger_active = plunger_active;
-  bc.wall = cfg_.wall;
-  bc.wall_sigma = cfg_.wall_sigma;
   bc.closed = cfg_.closed_box;
 
-  const bool need_bc_bits = !scene_.empty()
-                                ? scene_.any_diffuse()
-                                : cfg_.wall != geom::WallModel::kSpecular;
+  const bool need_bc_bits = scene_.any_diffuse();
   const bool record_surface = surface_sampling_ && !scene_.empty();
   // Interior fast path: a particle whose cell is masked and whose per-axis
   // speed stays under the mask's displacement bound provably reaches no
@@ -605,6 +589,27 @@ void Simulation<Real>::phase_move_and_boundaries() {
     // per-particle reset of the count alone avoids re-zeroing the buffer in
     // this hot path.
     geom::WallEventBuffer wall_events;
+    // Exited through the downstream sink: park in the reservoir with a
+    // rectangular freestream state (paper: reservoir collisions relax it to
+    // the correct Gaussian within a few steps).
+    auto park_in_reservoir = [&](std::size_t i) {
+      const Velocity5 v = rectangular_freestream(cfg_.sigma, u_inf_,
+                                                 bits_for(i, kSaltRemoveVel));
+      uxp[i] = N::from_double(v.v[0]);
+      uyp[i] = N::from_double(v.v[1]);
+      uzp[i] = N::from_double(v.v[2]);
+      store_.r0[i] = N::from_double(v.v[3]);
+      store_.r1[i] = N::from_double(v.v[4]);
+      if (cfg_.vibrational) {
+        rng::SplitMix64 gv(bits_for(i, kSaltRemoveVel) ^ 0x5151u);
+        const double sv = cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
+        store_.v0[i] = N::from_double(rng::sample_rectangular(gv, sv));
+        store_.v1[i] = N::from_double(rng::sample_rectangular(gv, sv));
+      }
+      store_.flags[i] |= ParticleStore<Real>::kReservoirFlag;
+      cellp[i] = reservoir_pair_cell(i);
+      ++local_removed;
+    };
     for (std::size_t i = r.begin; i < r.end; ++i) {
       // cell >= ncells_ <=> the reservoir flag is set (the pairing band
       // starts past the real grid), and the cell index is loaded anyway for
@@ -693,23 +698,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
                                  static_cast<int>(std::floor(ps.y)), 0);
           if (count_strip && xp[i] < one) ++local_strip;
         } else {
-          const Velocity5 v = rectangular_freestream(
-              cfg_.sigma, u_inf_, bits_for(i, kSaltRemoveVel));
-          uxp[i] = N::from_double(v.v[0]);
-          uyp[i] = N::from_double(v.v[1]);
-          uzp[i] = N::from_double(v.v[2]);
-          store_.r0[i] = N::from_double(v.v[3]);
-          store_.r1[i] = N::from_double(v.v[4]);
-          if (cfg_.vibrational) {
-            rng::SplitMix64 gv(bits_for(i, kSaltRemoveVel) ^ 0x5151u);
-            const double sv =
-                cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-            store_.v0[i] = N::from_double(rng::sample_rectangular(gv, sv));
-            store_.v1[i] = N::from_double(rng::sample_rectangular(gv, sv));
-          }
-          store_.flags[i] |= ParticleStore<Real>::kReservoirFlag;
-          cellp[i] = reservoir_pair_cell(i);
-          ++local_removed;
+          park_in_reservoir(i);
         }
         const std::uint32_t key = key_of(i, cellp[i]);
         keysp[i] = key;
@@ -777,26 +766,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
                                static_cast<int>(std::floor(ps.z)));
         if (count_strip && xp[i] < one) ++local_strip;
       } else {
-        // Exited through the downstream sink: park in the reservoir with a
-        // rectangular freestream state (paper: reservoir collisions relax it
-        // to the correct Gaussian within a few steps).
-        const Velocity5 v = rectangular_freestream(
-            cfg_.sigma, u_inf_, bits_for(i, kSaltRemoveVel));
-        uxp[i] = N::from_double(v.v[0]);
-        uyp[i] = N::from_double(v.v[1]);
-        uzp[i] = N::from_double(v.v[2]);
-        store_.r0[i] = N::from_double(v.v[3]);
-        store_.r1[i] = N::from_double(v.v[4]);
-        if (cfg_.vibrational) {
-          rng::SplitMix64 gv(bits_for(i, kSaltRemoveVel) ^ 0x5151u);
-          const double sv =
-              cfg_.sigma * std::sqrt(cfg_.vib_init_temperature);
-          store_.v0[i] = N::from_double(rng::sample_rectangular(gv, sv));
-          store_.v1[i] = N::from_double(rng::sample_rectangular(gv, sv));
-        }
-        store_.flags[i] |= ParticleStore<Real>::kReservoirFlag;
-        cellp[i] = reservoir_pair_cell(i);
-        ++local_removed;
+        park_in_reservoir(i);
       }
       const std::uint32_t key = key_of(i, cellp[i]);
       keysp[i] = key;
@@ -1519,12 +1489,9 @@ std::uint64_t Simulation<Real>::geometry_hash() const {
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(grid_.ny));
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(grid_.nz));
   h = geom::fnv1a_hash(h, scene_.geometry_hash());
-  h = geom::fnv1a_hash(h, wedge_ ? 1u : 0u);
-  if (wedge_) {
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_x0));
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_base));
-    h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.wedge_angle_deg));
-  }
+  // Formerly the legacy-wedge flag; a constant 0 keeps the hashes of
+  // body-scene and empty-tunnel runs equal to those of older builds.
+  h = geom::fnv1a_hash(h, 0u);
   h = geom::fnv1a_hash(h, cfg_.closed_box ? 1u : 0u);
   h = geom::fnv1a_hash(h, static_cast<std::uint64_t>(cfg_.upstream));
   h = geom::fnv1a_hash(h, std::bit_cast<std::uint64_t>(cfg_.plunger_trigger));

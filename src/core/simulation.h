@@ -34,7 +34,6 @@
 #include "geom/boundary.h"
 #include "geom/grid.h"
 #include "geom/scene.h"
-#include "geom/wedge.h"
 #include "obs/step_stats.h"
 #include "physics/selection.h"
 #include "rng/rng.h"
@@ -101,13 +100,10 @@ class Simulation {
   // --- Accessors ---
   const SimConfig& config() const { return cfg_; }
   const geom::Grid& grid() const { return grid_; }
-  const geom::Wedge* wedge() const {
-    return wedge_ ? &wedge_.value() : nullptr;
-  }
-  // The assembled multi-body scene (empty when the run has no generalized
-  // body).  Bodies keep the order (cfg.body first, then cfg.bodies).
+  // The assembled multi-body scene (empty when the run has no body).
+  // Bodies keep the order (cfg.body first, then cfg.bodies).
   const geom::Scene& scene() const { return scene_; }
-  // First scene body (legacy single-body accessor).
+  // First scene body (single-body accessor).
   const geom::Body* body() const {
     return scene_.empty() ? nullptr : &scene_.body(0);
   }
@@ -306,7 +302,6 @@ class Simulation {
   SimConfig cfg_;
   cmdp::ThreadPool* pool_;
   geom::Grid grid_;
-  std::optional<geom::Wedge> wedge_;
   geom::Scene scene_;  // all bodies (cfg.body first, then cfg.bodies)
   std::vector<double> open_frac_;
   // Axisymmetric per-cell annular volumes (empty when planar) and the

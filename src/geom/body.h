@@ -2,9 +2,9 @@
 //
 // The paper supports exactly one body (a wedge on the tunnel floor).  This
 // subsystem generalizes that to an arbitrary simple polygon (2D; in quasi-3D
-// runs the body is prism-extruded along z like the legacy wedge).  Each
-// segment carries its own wall model and wall temperature, so a body can mix
-// e.g. a diffuse-isothermal windward face with a specular base.
+// runs the body is prism-extruded along z).  Each segment carries its own
+// wall model and wall temperature, so a body can mix e.g. a
+// diffuse-isothermal windward face with a specular base.
 //
 // Conventions:
 //   - Vertices are listed counter-clockwise; the outward unit normal of the
@@ -65,7 +65,8 @@ class Body {
   // --- Factory helpers (all produce convex bodies) ---
   // The paper's wedge: right triangle with leading edge at (x0, 0), base
   // along the floor, apex height base*tan(angle).  The floor edge is
-  // embedded (handled by the tunnel floor, matching the legacy Wedge).
+  // embedded (handled by the tunnel floor), so the vertices are exactly
+  // those of the geom::Wedge analysis shape with the same parameters.
   static Body Wedge(double x0, double base, double angle_rad);
   // Thin rectangular plate of given chord and thickness, leading edge at
   // (x0, y0), inclined by `incidence_rad` to the flow.

@@ -13,9 +13,6 @@ Wedge::Wedge(double x0, double base, double angle_rad)
     throw std::invalid_argument("Wedge: base must be positive");
   if (angle_rad <= 0.0 || angle_rad >= std::atan(1.0) * 2.0)
     throw std::invalid_argument("Wedge: angle must be in (0, 90) degrees");
-  // Hypotenuse direction (cos a, sin a); outward normal (-sin a, cos a).
-  hx_ = -std::sin(angle_rad);
-  hy_ = std::cos(angle_rad);
 }
 
 double Wedge::surface_y(double x) const {
@@ -25,22 +22,6 @@ double Wedge::surface_y(double x) const {
 
 bool Wedge::inside(double x, double y) const {
   return x > x0_ && x < apex_x() && y > 0.0 && y < (x - x0_) * tan_;
-}
-
-std::optional<SurfaceHit> Wedge::nearest_face(double x, double y) const {
-  if (!inside(x, y)) return std::nullopt;
-  // Signed distance to the hypotenuse plane through A with normal (hx, hy):
-  // negative inside the solid.
-  const double d_hyp = (x - x0_) * hx_ + y * hy_;
-  // Signed distance to the back face plane x = apex_x with outward normal
-  // (+1, 0): negative inside.
-  const double d_back = x - apex_x();
-  // Floor is the wind-tunnel wall, not a wedge face; the only candidate
-  // faces are the hypotenuse and the back face.
-  if (d_hyp >= d_back) {  // both negative; larger = shallower penetration
-    return SurfaceHit{hx_, hy_, d_hyp};
-  }
-  return SurfaceHit{1.0, 0.0, d_back};
 }
 
 double Wedge::cell_open_fraction(int ix, int iy) const {

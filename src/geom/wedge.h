@@ -1,5 +1,7 @@
-// The body geometry: an inclined flat plate forming a wedge on the lower
-// wall of the wind tunnel (the paper's only supported body).
+// The paper's wedge as an analysis shape: an inclined flat plate forming a
+// wedge on the lower wall of the wind tunnel.  The simulation itself sees
+// the wedge as geom::Body::Wedge (same vertices); this class answers the
+// closed-form questions the shock/wake analysis asks of the outline.
 //
 // The wedge is the right triangle with vertices
 //     A = (x0, 0)            leading edge on the floor
@@ -9,20 +11,11 @@
 // the vertical face C->B faces the wake.
 #pragma once
 
-#include <optional>
 #include <vector>
 
 #include "geom/grid.h"
 
 namespace cmdsmc::geom {
-
-struct SurfaceHit {
-  // Unit outward normal of the violated face.
-  double nx = 0.0;
-  double ny = 0.0;
-  // Signed distance of the point from the face plane (negative = inside).
-  double depth = 0.0;
-};
 
 class Wedge {
  public:
@@ -40,10 +33,6 @@ class Wedge {
   // Strictly inside the solid triangle.
   bool inside(double x, double y) const;
 
-  // For a point inside the wedge, the face with the smallest penetration
-  // depth (the face the particle most plausibly crossed).  nullopt outside.
-  std::optional<SurfaceHit> nearest_face(double x, double y) const;
-
   // Fraction of the unit cell (ix,iy) that lies *outside* the wedge
   // (1 = fully open, 0 = fully solid).
   double cell_open_fraction(int ix, int iy) const;
@@ -57,9 +46,6 @@ class Wedge {
   double base_;
   double angle_;
   double tan_;
-  // Unit outward normal of the hypotenuse (points up-left, away from solid).
-  double hx_;
-  double hy_;
 };
 
 }  // namespace cmdsmc::geom

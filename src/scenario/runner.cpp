@@ -11,6 +11,7 @@
 #include "audit/auditor.h"
 #include "cli/args.h"
 #include "core/steady.h"
+#include "geom/wedge.h"
 #include "io/contour.h"
 #include "obs/telemetry.h"
 #include "io/csv.h"
@@ -43,6 +44,16 @@ void rectangular_start(core::Simulation<Real>& sim, const core::SimConfig& cfg) 
     s.r0[i] = N::from_double(rng::sample_rectangular(g, cfg.sigma));
     s.r1[i] = N::from_double(rng::sample_rectangular(g, cfg.sigma));
   }
+}
+
+// The paper wedge a planar 2D run simulated as body 0 (Body::Wedge names its
+// body "wedge"), for the oblique-shock and wake analysis; build_config keeps
+// cfg.wedge_* equal to that body's geometry.  nullopt for any other run.
+std::optional<geom::Wedge> simulated_wedge(const core::SimConfig& cfg) {
+  if (cfg.is3d() || cfg.axisymmetric || !cfg.body ||
+      cfg.body->name() != "wedge")
+    return std::nullopt;
+  return geom::Wedge(cfg.wedge_x0, cfg.wedge_base, cfg.wedge_angle_rad());
 }
 
 void json_escape(std::ostream& os, const std::string& s) {
@@ -145,13 +156,10 @@ void ConsoleReportSink::write(const RunResult& r) {
     buf << line;
   }
 
-  // Shock metrics for 2D wedge scenarios (legacy or Body::Wedge: the wedge
-  // outline comes from the config either way).
-  if (r.config.has_wedge && !r.config.is3d()) {
+  // Shock metrics when the body is the paper's wedge.
+  if (const auto wedge = simulated_wedge(r.config)) {
     namespace th = physics::theory;
-    const geom::Wedge wedge(r.config.wedge_x0, r.config.wedge_base,
-                            r.config.wedge_angle_rad());
-    const auto fit = io::measure_oblique_shock(r.field, wedge);
+    const auto fit = io::measure_oblique_shock(r.field, *wedge);
     if (fit.valid) {
       try {
         const double beta =
@@ -178,7 +186,7 @@ void ConsoleReportSink::write(const RunResult& r) {
     } else {
       buf << "no attached oblique shock detected\n";
     }
-    const auto wake = io::measure_wake(r.field, wedge);
+    const auto wake = io::measure_wake(r.field, *wedge);
     std::snprintf(line, sizeof line, "wake base     : %.3f (%s)\n",
                   wake.base_density,
                   wake.shock_present ? "recompression present"

@@ -198,9 +198,7 @@ const std::vector<OverrideEntry>& override_table() {
        set_double(&core::SimConfig::particles_per_cell)},
       {"reservoir_fraction", "extra particles parked in the reservoir",
        set_double(&core::SimConfig::reservoir_fraction)},
-      // --- Legacy wedge ---
-      {"has_wedge", "enable the legacy wedge body",
-       set_bool(&core::SimConfig::has_wedge)},
+      // --- Paper wedge (geometry of a body.kind=wedge body 0) ---
       {"wedge_x0", "wedge leading edge x (cells)",
        set_double(&core::SimConfig::wedge_x0)},
       {"wedge_base", "wedge base length (cells)",
@@ -244,8 +242,8 @@ const std::vector<OverrideEntry>& override_table() {
        }},
       {"plunger_trigger", "plunger withdrawal trigger (cells)",
        set_double(&core::SimConfig::plunger_trigger)},
-      {"wall", "legacy wall model: specular|diffuse_isothermal|"
-               "diffuse_adiabatic",
+      {"wall", "default wall model of specular bodies: specular|"
+               "diffuse_isothermal|diffuse_adiabatic",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.wall = parse_wall(k, v);
        }},
@@ -426,8 +424,7 @@ std::vector<ScenarioSpec> make_registry() {
   std::vector<ScenarioSpec> reg;
 
   {
-    // The paper's validation case, on the legacy wedge-specific path so the
-    // Runner reproduces examples/wedge_mach4 counters bit-for-bit.
+    // The paper's validation case.
     ScenarioSpec s;
     s.name = "wedge-mach4";
     s.description =
@@ -442,6 +439,7 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.wedge_x0 = 20.0;
     s.config.wedge_base = 25.0;
     s.config.wedge_angle_deg = 30.0;
+    s.bodies[0].kind = BodyKind::kWedge;
     s.schedule.steady_steps = 600;
     s.schedule.avg_steps = 600;
     s.sinks = {"ascii", "report", "json"};
@@ -468,7 +466,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 10.0;
-    s.config.has_wedge = false;
     s.config.seed = 0xC1C1ULL;
     s.bodies[0].kind = BodyKind::kCylinder;
     s.bodies[0].x0 = 32.0;
@@ -495,7 +492,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 8.0;
-    s.config.has_wedge = false;
     s.bodies[0].kind = BodyKind::kBiconic;
     s.bodies[0].x0 = 30.0;
     s.bodies[0].y0 = 32.0;
@@ -522,7 +518,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 12.0;
-    s.config.has_wedge = false;
     s.bodies[0].kind = BodyKind::kFlatPlate;
     s.bodies[0].x0 = 30.0;
     s.bodies[0].y0 = 28.0;
@@ -552,6 +547,7 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.wedge_x0 = 16.0;
     s.config.wedge_base = 16.0;
     s.config.wedge_angle_deg = 25.0;
+    s.bodies[0].kind = BodyKind::kWedge;
     s.schedule.steady_steps = 400;
     s.schedule.avg_steps = 400;
     s.sinks = {"ascii", "report", "json"};
@@ -566,7 +562,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.nx = 16;
     s.config.ny = 16;
     s.config.closed_box = true;
-    s.config.has_wedge = false;
     s.config.mach = 0.01;
     s.config.sigma = 0.2;
     s.config.lambda_inf = 0.0;
@@ -590,7 +585,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 8.0;
-    s.config.has_wedge = false;
     s.config.seed = 0x7A2DE3ULL;
     s.bodies.resize(2);
     for (BodySpec& b : s.bodies) {
@@ -623,7 +617,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 8.0;
-    s.config.has_wedge = false;
     s.config.seed = 0xA71B1CULL;
     s.bodies[0].kind = BodyKind::kBiconic;
     s.bodies[0].x0 = 30.0;
@@ -653,7 +646,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 8.0;
-    s.config.has_wedge = false;
     s.config.seed = 0x5fe3a1ULL;
     s.bodies[0].kind = BodyKind::kCylinder;  // circle about r=0 -> sphere
     s.bodies[0].x0 = 28.0;
@@ -680,7 +672,6 @@ std::vector<ScenarioSpec> make_registry() {
     s.config.sigma = 0.12;
     s.config.lambda_inf = 0.5;
     s.config.particles_per_cell = 8.0;
-    s.config.has_wedge = false;
     s.config.seed = 0xB1F1A2ULL;
     s.bodies.resize(2);
     s.bodies[0].kind = BodyKind::kBiconic;
@@ -753,17 +744,24 @@ core::SimConfig ScenarioSpec::build_config() const {
   std::vector<geom::Body> made;
   for (std::size_t n = 0; n < bodies.size(); ++n) {
     BodySpec b = bodies[n];
-    // `body.kind=wedge` with no explicit geometry upgrades the legacy wedge
-    // in place: inherit the config's wedge fields so the two paths describe
-    // the same body (body 0 only; extra bodies must be explicit).
-    if (n == 0 && b.kind == BodyKind::kWedge && b.chord <= 0.0) {
-      b.x0 = cfg.wedge_x0;
-      b.chord = cfg.wedge_base;
-      b.angle_deg = cfg.wedge_angle_deg;
+    // Body 0 as a wedge is the paper's wedge: with no explicit geometry it
+    // takes the config's wedge fields, and explicit geometry is written back
+    // into them, so cfg.wedge_* always describe the simulated wedge (extra
+    // bodies must be explicit).
+    if (n == 0 && b.kind == BodyKind::kWedge) {
+      if (b.chord <= 0.0) {
+        b.x0 = cfg.wedge_x0;
+        b.chord = cfg.wedge_base;
+        b.angle_deg = cfg.wedge_angle_deg;
+      } else {
+        cfg.wedge_x0 = b.x0;
+        cfg.wedge_base = b.chord;
+        cfg.wedge_angle_deg = b.angle_deg;
+      }
     }
     if (auto body = b.make(cfg.sigma)) made.push_back(std::move(*body));
   }
-  // First body keeps the legacy cfg.body slot; the rest form the scene list.
+  // First body fills cfg.body; the rest form the scene list.
   cfg.body.reset();
   cfg.bodies.clear();
   if (!made.empty()) {

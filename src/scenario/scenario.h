@@ -20,8 +20,7 @@
 
 namespace cmdsmc::scenario {
 
-// Which geom::Body factory builds the scenario's body (kNone = the legacy
-// wedge-specific path, or no body at all when config.has_wedge is false).
+// Which geom::Body factory builds the scenario's body (kNone = no body).
 enum class BodyKind { kNone, kWedge, kFlatPlate, kCylinder, kBiconic };
 
 // The override-syntax name of a kind ("none", "wedge", ...); one table
@@ -29,7 +28,7 @@ enum class BodyKind { kNone, kWedge, kFlatPlate, kCylinder, kBiconic };
 const char* body_kind_name(BodyKind kind);
 
 // Body factory parameters, addressable by name through overrides.  Body 0
-// answers both the legacy `body.*` spelling and `body0.*`; additional scene
+// answers both the `body.*` spelling and `body0.*`; additional scene
 // bodies are addressed as `body1.*`, `body2.*`, ... (the bodies list grows
 // on first mention).
 struct BodySpec {
@@ -75,13 +74,17 @@ struct ScenarioSpec {
   std::string name;
   std::string description;
   core::SimConfig config;  // config.body/bodies are never set here; see below
-  // The scene's bodies, in order (bodies[0] is the legacy single body;
-  // kNone entries are skipped at build time).  Never empty.
+  // The scene's bodies, in order (bodies[0] becomes config.body; kNone
+  // entries are skipped at build time).  Never empty.  A body 0 of kind
+  // kWedge with no explicit chord takes its geometry from config.wedge_*;
+  // an explicit one is written back there, so the shock analysis always
+  // measures against the wedge actually simulated.
   std::vector<BodySpec> bodies{BodySpec{}};
   RunSchedule schedule;
-  // T_wall / T_inf of the legacy (non-Body) diffuse walls; config.wall_sigma
-  // is derived from the *final* sigma at build_config time, so overriding
-  // sigma can no longer silently leave the wall at the 0.18 default.
+  // T_wall / T_inf of the default wall model (config.wall, inherited by
+  // bodies left specular); config.wall_sigma is derived from the *final*
+  // sigma at build_config time, so overriding sigma can no longer silently
+  // leave the wall at the 0.18 default.
   double wall_temperature_ratio = 1.0;
   // Explicit wall_sigma override (wall_sigma=... wins over twall=...).
   std::optional<double> wall_sigma_override;
@@ -109,7 +112,8 @@ struct ScenarioSpec {
   double audit_tol = 1e-9;  // relative tolerance for conservation checks
 
   // Final SimConfig: derives the diffuse-wall sigma from the temperature
-  // ratio, constructs the body, and validates.  Throws std::invalid_argument
+  // ratio, constructs the bodies (syncing config.wedge_* with a wedge body
+  // 0), and validates.  Throws std::invalid_argument
   // on inconsistent parameters.
   core::SimConfig build_config() const;
 };

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <numbers>
 #include <numeric>
 
 #include "audit/audit.h"
@@ -32,8 +33,7 @@ core::SimConfig small_wedge_config() {
   core::SimConfig cfg;
   cfg.nx = 49;
   cfg.ny = 32;
-  cfg.wedge_x0 = 10.0;
-  cfg.wedge_base = 12.0;
+  cfg.body = geom::Body::Wedge(10.0, 12.0, 30.0 * std::numbers::pi / 180.0);
   cfg.particles_per_cell = 8.0;
   cfg.seed = 4242;
   return cfg;
@@ -43,7 +43,6 @@ core::SimConfig small_axi_config() {
   core::SimConfig cfg;
   cfg.nx = 40;
   cfg.ny = 20;
-  cfg.has_wedge = false;
   cfg.axisymmetric = true;
   cfg.mach = 4.0;
   cfg.sigma = 0.12;

@@ -42,7 +42,6 @@ core::SimConfig tunnel_config() {
   core::SimConfig cfg;
   cfg.nx = 48;
   cfg.ny = 24;
-  cfg.has_wedge = false;
   cfg.axisymmetric = true;
   cfg.mach = 4.0;
   cfg.sigma = 0.12;
@@ -60,10 +59,9 @@ TEST(AxisymmetricConfig, ValidationRules) {
   cfg.nz = 8;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.nz = 0;
-  // The legacy wedge path is planar-only.
-  cfg.has_wedge = true;
-  EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.has_wedge = false;
+  // The paper wedge sits on the floor, so it revolves into a cone: legal.
+  cfg.body = geom::Body::Wedge(10.0, 10.0, 30.0 * std::numbers::pi / 180.0);
+  EXPECT_NO_THROW(cfg.validate());
   // Bodies of revolution straddle the axis: ymin < 0 is legal here...
   cfg.body = geom::Body::Cylinder(24.0, 0.0, 6.0, 16);
   EXPECT_NO_THROW(cfg.validate());
@@ -147,7 +145,6 @@ TEST(Axisymmetric, SphereDragMatchesFreeMolecularTheory) {
   core::SimConfig cfg;
   cfg.nx = 64;
   cfg.ny = 36;
-  cfg.has_wedge = false;
   cfg.axisymmetric = true;
   cfg.mach = 4.0;
   cfg.sigma = 0.12;
@@ -208,7 +205,6 @@ TEST(Axisymmetric, PlanarRunsCarryNoWeightArray) {
   core::SimConfig cfg;
   cfg.nx = 32;
   cfg.ny = 24;
-  cfg.has_wedge = false;
   cfg.particles_per_cell = 6.0;
   cmdp::ThreadPool pool(2);
   core::SimulationD sim(cfg, &pool);

@@ -156,24 +156,32 @@ TEST(Body, NearestFaceNeverReturnsEmbeddedFloor) {
 }
 
 TEST(Body, NearestFaceAgreesWithLegacyWedge) {
-  const geom::Body b = geom::Body::Wedge(20.0, 25.0, 30.0 * kRad);
-  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  // Reference: the analytic two-face rule of the wedge's original dedicated
+  // boundary path — plane depths against the ramp (normal (-sin a, cos a)
+  // through the leading edge) and the back face x = apex, shallower wins.
+  const double a = 30.0 * kRad;
+  const geom::Body b = geom::Body::Wedge(20.0, 25.0, a);
+  const geom::Wedge w(20.0, 25.0, a);
   cmdsmc::rng::SplitMix64 g(13);
   int compared = 0;
   for (int trial = 0; trial < 20000; ++trial) {
     const double x = 20.0 + g.next_double() * 26.0;
     const double y = g.next_double() * 15.0;
     const auto hb = b.nearest_face(x, y);
-    const auto hw = w.nearest_face(x, y);
-    ASSERT_EQ(hb.has_value(), hw.has_value());
+    ASSERT_EQ(hb.has_value(), w.inside(x, y));
     if (!hb) continue;
     ++compared;
-    // Same normal and plane depth whenever both paths pick the same face
+    const double d_ramp = (x - 20.0) * -std::sin(a) + y * std::cos(a);
+    const double d_back = x - w.apex_x();
+    const bool ramp = d_ramp >= d_back;
+    const double nx = ramp ? -std::sin(a) : 1.0;
+    const double ny = ramp ? std::cos(a) : 0.0;
+    // Same normal and plane depth whenever both rules pick the same face
     // (they may differ in a measure-zero sliver near the apex corner where
     // plane- and segment-distance orderings disagree).
-    if (hb->nx == hw->nx) {
-      EXPECT_NEAR(hb->ny, hw->ny, 1e-12);
-      EXPECT_NEAR(hb->depth, hw->depth, 1e-9);
+    if (std::abs(hb->nx - nx) < 1e-12) {
+      EXPECT_NEAR(hb->ny, ny, 1e-12);
+      EXPECT_NEAR(hb->depth, ramp ? d_ramp : d_back, 1e-9);
     }
   }
   EXPECT_GT(compared, 1000);

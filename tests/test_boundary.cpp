@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numbers>
 
+#include "geom/wedge.h"
 #include "rng/rng.h"
 
 namespace geom = cmdsmc::geom;
@@ -26,6 +27,14 @@ double speed2(const geom::ParticleState& p) {
 
 double energy(const geom::ParticleState& p) {
   return 0.5 * (speed2(p) + p.r0 * p.r0 + p.r1 * p.r1);
+}
+
+// The paper's wedge as a one-body scene, with an optional uniform wall model.
+geom::Scene wedge_scene(geom::WallModel wall = geom::WallModel::kSpecular,
+                        double wall_sigma = 0.0) {
+  geom::Body b = geom::Body::Wedge(20.0, 25.0, 30.0 * kRad);
+  if (wall != geom::WallModel::kSpecular) b.set_wall_model(wall, wall_sigma);
+  return geom::Scene(std::vector<geom::Body>{std::move(b)});
 }
 
 }  // namespace
@@ -98,8 +107,9 @@ TEST(Boundary, MovingPlungerReflectsInWallFrame) {
 
 TEST(Boundary, WedgeSpecularPreservesSpeedAndEjects) {
   auto bc = tunnel();
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  bc.wedge = &w;
+  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene = wedge_scene();
+  bc.scene = &scene;
   cmdsmc::rng::SplitMix64 g(41);
   for (int trial = 0; trial < 500; ++trial) {
     // Random point slightly inside the wedge near the ramp.
@@ -116,8 +126,8 @@ TEST(Boundary, WedgeSpecularPreservesSpeedAndEjects) {
 
 TEST(Boundary, WedgeBackFaceReflectsHorizontally) {
   auto bc = tunnel();
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  bc.wedge = &w;
+  const geom::Scene scene = wedge_scene();
+  bc.scene = &scene;
   geom::ParticleState p{44.9, 2.0, 0, -0.4, 0.0, 0, 0, 0};
   EXPECT_TRUE(geom::enforce_boundaries(p, bc, 0));
   EXPECT_NEAR(p.x, 45.1, 1e-9);
@@ -126,8 +136,9 @@ TEST(Boundary, WedgeBackFaceReflectsHorizontally) {
 
 TEST(Boundary, LeadingEdgeCornerIsHandled) {
   auto bc = tunnel();
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  bc.wedge = &w;
+  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene = wedge_scene();
+  bc.scene = &scene;
   // A particle that dives below the floor right at the wedge leading edge:
   // needs the floor reflection then possibly a wedge reflection.
   geom::ParticleState p{20.2, -0.05, 0, 0.7, -0.3, 0, 0, 0};
@@ -138,10 +149,10 @@ TEST(Boundary, LeadingEdgeCornerIsHandled) {
 
 TEST(Boundary, DiffuseIsothermalReemitsOutward) {
   auto bc = tunnel();
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  bc.wedge = &w;
-  bc.wall = geom::WallModel::kDiffuseIsothermal;
-  bc.wall_sigma = 0.25;
+  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene =
+      wedge_scene(geom::WallModel::kDiffuseIsothermal, 0.25);
+  bc.scene = &scene;
   const double nx = -std::sin(30.0 * kRad);
   const double ny = std::cos(30.0 * kRad);
   cmdsmc::rng::SplitMix64 g(42);
@@ -158,10 +169,10 @@ TEST(Boundary, DiffuseIsothermalReemitsOutward) {
 
 TEST(Boundary, DiffuseAdiabaticPreservesParticleEnergy) {
   auto bc = tunnel();
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  bc.wedge = &w;
-  bc.wall = geom::WallModel::kDiffuseAdiabatic;
-  bc.wall_sigma = 0.25;
+  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene =
+      wedge_scene(geom::WallModel::kDiffuseAdiabatic, 0.25);
+  bc.scene = &scene;
   cmdsmc::rng::SplitMix64 g(43);
   for (int trial = 0; trial < 300; ++trial) {
     const double x = 25.0 + g.next_double() * 15.0;
@@ -272,9 +283,9 @@ void expect_mask_is_safe(const geom::Grid& grid, const geom::BoundaryConfig& bc,
 
 TEST(InteriorMask, WedgeTunnelMaskIsConservativeAndUseful) {
   const geom::Grid grid{98, 64, 0};
-  geom::Wedge wedge(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene = wedge_scene();
   geom::BoundaryConfig bc = tunnel();
-  bc.wedge = &wedge;
+  bc.scene = &scene;
   const double d = 2.0;
   const double reach = 3.0 + 0.9;  // plunger trigger + one step of sweep
   const auto mask = geom::interior_cell_mask(grid, bc, reach, d);

@@ -11,6 +11,7 @@
 #include "core/simulation.h"
 #include "fleet/sweep.h"
 #include "geom/boundary.h"
+#include "geom/wedge.h"
 #include "rng/rng.h"
 #include "scenario/scenario.h"
 
@@ -20,14 +21,24 @@ namespace geom = cmdsmc::geom;
 
 namespace {
 constexpr double kRad = 3.14159265358979 / 180.0;
+
+// A one-body scene holding the wedge, with an optional uniform wall model.
+geom::Scene wedge_scene(const geom::Wedge& w,
+                        geom::WallModel wall = geom::WallModel::kSpecular,
+                        double wall_sigma = 0.0) {
+  geom::Body b = geom::Body::Wedge(w.x0(), w.base(), w.angle());
+  if (wall != geom::WallModel::kSpecular) b.set_wall_model(wall, wall_sigma);
+  return geom::Scene(std::vector<geom::Body>{std::move(b)});
 }
+}  // namespace
 
 TEST(BoundaryFuzz, AlwaysEndsInsideOpenDomain) {
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Wedge w(20.0, 25.0, 30.0 * kRad);
+  const geom::Scene scene = wedge_scene(w);
   geom::BoundaryConfig bc;
   bc.x_max = 98.0;
   bc.y_max = 64.0;
-  bc.wedge = &w;
+  bc.scene = &scene;
   bc.plunger_active = true;
   bc.plunger_x = 2.0;
   bc.plunger_speed = 0.8;
@@ -59,13 +70,13 @@ TEST(BoundaryFuzz, AlwaysEndsInsideOpenDomain) {
 }
 
 TEST(BoundaryFuzz, DiffuseWallsAlwaysEject) {
-  geom::Wedge w(10.0, 20.0, 40.0 * kRad);
+  const geom::Wedge w(10.0, 20.0, 40.0 * kRad);
+  const geom::Scene scene =
+      wedge_scene(w, geom::WallModel::kDiffuseIsothermal, 0.2);
   geom::BoundaryConfig bc;
   bc.x_max = 64.0;
   bc.y_max = 48.0;
-  bc.wedge = &w;
-  bc.wall = geom::WallModel::kDiffuseIsothermal;
-  bc.wall_sigma = 0.2;
+  bc.scene = &scene;
   cmdsmc::rng::SplitMix64 g(99);
   for (int trial = 0; trial < 20000; ++trial) {
     geom::ParticleState p;
@@ -83,7 +94,7 @@ TEST(BoundaryFuzz, DiffuseWallsAlwaysEject) {
 struct FuzzCase {
   int nx, ny, nz;
   double mach, sigma, lambda, ppc;
-  bool wedge;
+  bool wedge;    // body 0 is a wedge (else an empty tunnel)
   int upstream;  // 0 plunger, 1 soft
   int wall;      // 0 specular, 1 isothermal, 2 adiabatic
 };
@@ -100,12 +111,9 @@ TEST_P(SimulationFuzz, ShortRunUpholdsInvariants) {
   cfg.sigma = c.sigma;
   cfg.lambda_inf = c.lambda;
   cfg.particles_per_cell = c.ppc;
-  cfg.has_wedge = c.wedge;
-  if (c.wedge) {
-    cfg.wedge_x0 = c.nx * 0.25;
-    cfg.wedge_base = c.nx * 0.25;
-    cfg.wedge_angle_deg = 25.0;
-  }
+  const geom::Wedge wedge(c.nx * 0.25, c.nx * 0.25, 25.0 * kRad);
+  if (c.wedge)
+    cfg.body = geom::Body::Wedge(wedge.x0(), wedge.base(), wedge.angle());
   cfg.upstream = c.upstream == 0 ? geom::UpstreamMode::kPlunger
                                  : geom::UpstreamMode::kSoftSource;
   cfg.wall = c.wall == 0   ? geom::WallModel::kSpecular
@@ -136,8 +144,8 @@ TEST_P(SimulationFuzz, ShortRunUpholdsInvariants) {
       ASSERT_GE(s.z[i], 0.0);
       ASSERT_LT(s.z[i], static_cast<double>(c.nz));
     }
-    if (sim.wedge() != nullptr) {
-      ASSERT_FALSE(sim.wedge()->inside(s.x[i], s.y[i]));
+    if (c.wedge) {
+      ASSERT_FALSE(wedge.inside(s.x[i], s.y[i]));
     }
   }
   const auto f = sim.field();
@@ -177,7 +185,6 @@ TEST(SimulationFuzz, NoParticleEndsInsideAnyBodyOfAMultiBodyScene) {
     cfg.sigma = 0.12;
     cfg.lambda_inf = 0.5;
     cfg.particles_per_cell = 6.0;
-    cfg.has_wedge = false;
     cfg.body = geom::Body::Cylinder(18.0, 16.0, 5.0, 16);
     cfg.bodies.push_back(geom::Body::Cylinder(42.0, 16.0, 5.0, 16));
     if (sc.third_body)
@@ -224,7 +231,6 @@ TEST(SimulationFuzz, WeightBalancingConservesMassMomentumEnergyAnySeed) {
     core::SimConfig cfg;
     cfg.nx = 24;
     cfg.ny = 16;
-    cfg.has_wedge = false;
     cfg.axisymmetric = true;
     cfg.mach = 4.0;
     cfg.sigma = 0.12;
@@ -267,7 +273,6 @@ TEST(SimulationFuzz, AxisymmetricClosedBoxConservesWeightedMassExactly) {
     cfg.nx = 16;
     cfg.ny = 20;
     cfg.closed_box = true;
-    cfg.has_wedge = false;
     cfg.axisymmetric = true;
     cfg.mach = 0.01;
     cfg.sigma = 0.15;
@@ -301,7 +306,6 @@ TEST(SimulationFuzz, AxisymmetricShortRunsUpholdCoreInvariants) {
     core::SimConfig cfg;
     cfg.nx = 48;
     cfg.ny = 20;
-    cfg.has_wedge = false;
     cfg.axisymmetric = true;
     cfg.mach = 5.0;
     cfg.sigma = 0.12;
@@ -537,10 +541,7 @@ TEST(SimulationFuzz, HardSphereAndPowerLawGasesRun) {
     cfg.sigma = 0.12;
     cfg.lambda_inf = 0.5;
     cfg.particles_per_cell = 6.0;
-    cfg.has_wedge = true;
-    cfg.wedge_x0 = 8.0;
-    cfg.wedge_base = 8.0;
-    cfg.wedge_angle_deg = 25.0;
+    cfg.body = geom::Body::Wedge(8.0, 8.0, 25.0 * kRad);
     cfg.gas.potential = pot;
     cfg.gas.alpha = 9.0;
     cmdp::ThreadPool pool(4);

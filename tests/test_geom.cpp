@@ -96,26 +96,6 @@ TEST(Wedge, InsideTests) {
   EXPECT_FALSE(w.inside(30.0, -1.0));  // below the floor
 }
 
-TEST(Wedge, NearestFacePicksShallowestPenetration) {
-  geom::Wedge w(20.0, 25.0, 30.0 * kRad);
-  // Just below the ramp surface: hypotenuse is the nearest face.
-  const double x = 30.0;
-  const double y = w.surface_y(x) - 0.1;
-  auto hit = w.nearest_face(x, y);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_LT(hit->depth, 0.0);
-  EXPECT_NEAR(hit->nx, -std::sin(30.0 * kRad), 1e-12);
-  EXPECT_NEAR(hit->ny, std::cos(30.0 * kRad), 1e-12);
-  // Just inside the back face.
-  auto hit2 = w.nearest_face(44.95, 2.0);
-  ASSERT_TRUE(hit2.has_value());
-  EXPECT_NEAR(hit2->nx, 1.0, 1e-12);
-  EXPECT_NEAR(hit2->ny, 0.0, 1e-12);
-  EXPECT_NEAR(hit2->depth, -0.05, 1e-9);
-  // Outside: no face.
-  EXPECT_FALSE(w.nearest_face(10.0, 1.0).has_value());
-}
-
 TEST(Wedge, OpenFractionsMatchAnalyticCells) {
   geom::Wedge w(20.0, 25.0, 45.0 * kRad);  // 45 degrees for easy analytics
   // Cell fully inside the solid: e.g. (30..31, 0..1), surface at y = 10..11.

@@ -83,7 +83,6 @@ TEST(MultiBodyScenario, BodyNOverridesGrowAndAddressTheBodyList) {
   scenario::apply_override(spec, "body2.y0", "20");
   scenario::apply_override(spec, "body2.chord", "10");
   scenario::apply_override(spec, "body2.thickness", "1");
-  scenario::apply_override(spec, "has_wedge", "false");
   ASSERT_EQ(spec.bodies.size(), 3u);
   EXPECT_EQ(spec.bodies[0].kind, scenario::BodyKind::kCylinder);
   EXPECT_DOUBLE_EQ(spec.bodies[0].radius, 5.0);

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numbers>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,9 +30,7 @@ core::SimConfig small_cfg() {
   core::SimConfig cfg;
   cfg.nx = 40;
   cfg.ny = 24;
-  cfg.wedge_x0 = 10.0;
-  cfg.wedge_base = 14.0;
-  cfg.wedge_angle_deg = 30.0;
+  cfg.body = geom::Body::Wedge(10.0, 14.0, 30.0 * std::numbers::pi / 180.0);
   cfg.particles_per_cell = 6.0;
   cfg.lambda_inf = 0.5;
   cfg.seed = 0xabcdef12ULL;

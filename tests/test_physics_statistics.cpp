@@ -18,7 +18,6 @@ core::SimConfig box(double sigma, double lambda, double ppc) {
   cfg.nx = 24;
   cfg.ny = 24;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = sigma;
   cfg.lambda_inf = lambda;

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <sstream>
+#include <utility>
 
 #include "cmdp/thread_pool.h"
 #include "core/simulation.h"
@@ -65,7 +68,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
       {"lambda_inf", "0.25"},
       {"particles_per_cell", "9.5"},
       {"reservoir_fraction", "0.15"},
-      {"has_wedge", "false"},
       {"wedge_x0", "11"},
       {"wedge_base", "13"},
       {"wedge_angle_deg", "22"},
@@ -99,7 +101,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
   EXPECT_DOUBLE_EQ(c.lambda_inf, 0.25);
   EXPECT_DOUBLE_EQ(c.particles_per_cell, 9.5);
   EXPECT_DOUBLE_EQ(c.reservoir_fraction, 0.15);
-  EXPECT_FALSE(c.has_wedge);
   EXPECT_DOUBLE_EQ(c.wedge_x0, 11.0);
   EXPECT_DOUBLE_EQ(c.wedge_base, 13.0);
   EXPECT_DOUBLE_EQ(c.wedge_angle_deg, 22.0);
@@ -196,10 +197,11 @@ TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
   scenario::ScenarioSpec duct = scenario::get_scenario("duct3d");
   scenario::apply_override(duct, "axisymmetric", "true");
   EXPECT_THROW(duct.build_config(), std::invalid_argument);
-  // The legacy-wedge path is planar-only.
+  // The paper wedge is an ordinary body on the floor: revolved about the
+  // r = 0 axis it is a cone, a valid body of revolution.
   scenario::ScenarioSpec wedge = scenario::get_scenario("wedge-mach4");
   scenario::apply_override(wedge, "axisymmetric", "true");
-  EXPECT_THROW(wedge.build_config(), std::invalid_argument);
+  EXPECT_NO_THROW(wedge.build_config());
 }
 
 TEST(ScenarioRunner, AxisymmetricRunReportsRevolvedBodyCoefficients) {
@@ -227,6 +229,100 @@ TEST(SimConfigWallTemperature, RatioAccessorDerivesFromSigma) {
   EXPECT_NEAR(cfg.wall_sigma, 0.1, 1e-12);
   EXPECT_NEAR(cfg.wall_temperature_ratio(), 0.25, 1e-12);
   EXPECT_THROW(cfg.set_wall_temperature_ratio(-1.0), std::invalid_argument);
+}
+
+// --- The paper wedge is body 0 ----------------------------------------------
+
+TEST(ScenarioWedge, BuiltBodyIsExactlyTheConfigWedge) {
+  // perfbench, the benches and the Runner analyse the shock against
+  // geom::Wedge(cfg.wedge_*); that is only sound when the simulated body 0
+  // has exactly the vertices Body::Wedge builds from the same fields.
+  for (const char* name : {"wedge-mach4", "wedge-mach4-rarefied", "duct3d"}) {
+    const core::SimConfig cfg = scenario::get_scenario(name).build_config();
+    ASSERT_TRUE(cfg.body.has_value()) << name;
+    EXPECT_TRUE(cfg.bodies.empty()) << name;
+    const geom::Body want = geom::Body::Wedge(cfg.wedge_x0, cfg.wedge_base,
+                                              cfg.wedge_angle_rad());
+    ASSERT_EQ(cfg.body->segment_count(), want.segment_count()) << name;
+    for (int i = 0; i < want.segment_count(); ++i) {
+      const geom::BodySegment& a = cfg.body->segments()[i];
+      const geom::BodySegment& b = want.segments()[i];
+      EXPECT_EQ(a.x0, b.x0) << name << " segment " << i;
+      EXPECT_EQ(a.y0, b.y0) << name << " segment " << i;
+      EXPECT_EQ(a.x1, b.x1) << name << " segment " << i;
+      EXPECT_EQ(a.y1, b.y1) << name << " segment " << i;
+      EXPECT_EQ(a.embedded, b.embedded) << name << " segment " << i;
+    }
+  }
+}
+
+TEST(ScenarioWedge, ExplicitBodyGeometryIsWrittenBackToTheWedgeFields) {
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  scenario::apply_override(spec, "body.x0", "30");
+  scenario::apply_override(spec, "body.chord", "20");
+  scenario::apply_override(spec, "body.angle_deg", "20");
+  const core::SimConfig cfg = spec.build_config();
+  EXPECT_EQ(cfg.wedge_x0, 30.0);
+  EXPECT_EQ(cfg.wedge_base, 20.0);
+  EXPECT_EQ(cfg.wedge_angle_deg, 20.0);
+  ASSERT_TRUE(cfg.body.has_value());
+  EXPECT_EQ(cfg.body->xmin(), 30.0);
+  EXPECT_EQ(cfg.body->xmax(), 50.0);
+}
+
+TEST(ScenarioWedge, BadWedgeGeometryFailsClosedAsAConfigError) {
+  for (const auto& [key, value] :
+       {std::pair<const char*, const char*>{"wedge_angle_deg", "95"},
+        {"wedge_x0", "90"},
+        {"wedge_x0", "-5"}}) {
+    scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+    scenario::apply_override(spec, key, value);
+    try {
+      (void)spec.build_config();
+      ADD_FAILURE() << key << "=" << value << " was accepted";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(cli::error_exit_code(e), 2) << key << "=" << value;
+    }
+  }
+}
+
+namespace {
+
+std::string report_of(scenario::ScenarioSpec spec) {
+  scenario::apply_override(spec, "steps", "4");
+  scenario::apply_override(spec, "ppc", "2");
+  std::ostringstream os;
+  scenario::Runner runner(spec);
+  runner.add_sink(std::make_unique<scenario::ConsoleReportSink>(&os));
+  cmdp::ThreadPool pool(0);
+  (void)runner.run(&pool);
+  return os.str();
+}
+
+}  // namespace
+
+TEST(ScenarioWedge, ShockReportOnlyForAWedgeBody) {
+  // A cylinder swapped into a wedge scenario gets no wedge shock/wake block.
+  scenario::ScenarioSpec cyl = scenario::get_scenario("wedge-mach4");
+  scenario::apply_override(cyl, "body.kind", "cylinder");
+  scenario::apply_override(cyl, "body.x0", "40");
+  scenario::apply_override(cyl, "body.y0", "32");
+  scenario::apply_override(cyl, "body.radius", "8");
+  const std::string cyl_report = report_of(cyl);
+  EXPECT_EQ(cyl_report.find("shock"), std::string::npos) << cyl_report;
+  EXPECT_EQ(cyl_report.find("wake base"), std::string::npos) << cyl_report;
+  EXPECT_NE(cyl_report.find("surface       : Cd"), std::string::npos);
+
+  // An explicit-chord wedge is analysed (block present) and reports its
+  // surface coefficients like any body.
+  scenario::ScenarioSpec wedge = scenario::get_scenario("wedge-mach4");
+  scenario::apply_override(wedge, "body.x0", "30");
+  scenario::apply_override(wedge, "body.chord", "20");
+  scenario::apply_override(wedge, "body.angle_deg", "20");
+  const std::string wedge_report = report_of(wedge);
+  EXPECT_NE(wedge_report.find("wake base"), std::string::npos)
+      << wedge_report;
+  EXPECT_NE(wedge_report.find("surface       : Cd"), std::string::npos);
 }
 
 // --- Golden run: Runner vs the legacy example loop ---------------------------

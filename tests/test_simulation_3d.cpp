@@ -5,9 +5,11 @@
 #include <cmath>
 
 #include "core/simulation.h"
+#include "geom/wedge.h"
 
 namespace core = cmdsmc::core;
 namespace cmdp = cmdsmc::cmdp;
+namespace geom = cmdsmc::geom;
 
 namespace {
 
@@ -16,10 +18,11 @@ core::SimConfig duct_config() {
   cfg.nx = 32;
   cfg.ny = 16;
   cfg.nz = 8;
-  cfg.has_wedge = true;
   cfg.wedge_x0 = 8.0;
   cfg.wedge_base = 8.0;
   cfg.wedge_angle_deg = 25.0;
+  cfg.body = geom::Body::Wedge(cfg.wedge_x0, cfg.wedge_base,
+                               cfg.wedge_angle_rad());
   cfg.particles_per_cell = 6.0;
   cfg.sigma = 0.18;
   // Small domain: one plunger refill is a large fraction of the population,
@@ -29,13 +32,18 @@ core::SimConfig duct_config() {
   return cfg;
 }
 
+// The analysis shape of the duct's ramp (extruded along z).
+geom::Wedge duct_wedge() {
+  const core::SimConfig cfg = duct_config();
+  return geom::Wedge(cfg.wedge_x0, cfg.wedge_base, cfg.wedge_angle_rad());
+}
+
 core::SimConfig box3d_config() {
   core::SimConfig cfg;
   cfg.nx = 12;
   cfg.ny = 12;
   cfg.nz = 12;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = 0.2;
   cfg.particles_per_cell = 12.0;
@@ -61,6 +69,7 @@ TEST(Sim3D, ParticlesStayInDuct) {
   core::SimulationD sim(duct_config(), &pool);
   sim.run(30);
   const auto& s = sim.particles();
+  const geom::Wedge wedge = duct_wedge();
   ASSERT_TRUE(s.has_z);
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s.flags[i] & core::ParticleStore<double>::kReservoirFlag) continue;
@@ -68,7 +77,7 @@ TEST(Sim3D, ParticlesStayInDuct) {
     ASSERT_LT(s.z[i], 8.0);
     ASSERT_GE(s.y[i], 0.0);
     ASSERT_LT(s.y[i], 16.0);
-    ASSERT_FALSE(sim.wedge()->inside(s.x[i], s.y[i]));
+    ASSERT_FALSE(wedge.inside(s.x[i], s.y[i]));
   }
 }
 
@@ -100,11 +109,12 @@ TEST(Sim3D, CompressionFormsAboveTheRamp) {
   sim.set_sampling(true);
   sim.run(150);
   const auto f = sim.field();
+  const geom::Wedge wedge = duct_wedge();
   // Density above the ramp exceeds the freestream.
   double comp = 0.0;
   int n = 0;
   for (int ix = 10; ix < 15; ++ix) {
-    const int y0 = static_cast<int>(sim.wedge()->surface_y(ix + 0.5)) + 1;
+    const int y0 = static_cast<int>(wedge.surface_y(ix + 0.5)) + 1;
     for (int iz = 2; iz < 6; ++iz) {
       comp += f.at(f.density, ix, y0 + 1, iz);
       ++n;

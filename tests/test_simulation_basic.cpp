@@ -4,11 +4,21 @@
 
 #include <cmath>
 
+#include "geom/wedge.h"
+
 namespace core = cmdsmc::core;
 namespace cmdp = cmdsmc::cmdp;
+namespace geom = cmdsmc::geom;
 using cmdsmc::fixedpoint::Fixed32;
 
 namespace {
+
+// Sets the body to the wedge the config's wedge_* fields describe.
+core::SimConfig with_wedge_body(core::SimConfig cfg) {
+  cfg.body = geom::Body::Wedge(cfg.wedge_x0, cfg.wedge_base,
+                               cfg.wedge_angle_rad());
+  return cfg;
+}
 
 core::SimConfig small_wedge_config() {
   core::SimConfig cfg;
@@ -18,7 +28,12 @@ core::SimConfig small_wedge_config() {
   cfg.wedge_base = 12.0;
   cfg.particles_per_cell = 8.0;
   cfg.seed = 77;
-  return cfg;
+  return with_wedge_body(cfg);
+}
+
+geom::Wedge small_wedge() {
+  const core::SimConfig cfg = small_wedge_config();
+  return geom::Wedge(cfg.wedge_x0, cfg.wedge_base, cfg.wedge_angle_rad());
 }
 
 }  // namespace
@@ -42,11 +57,11 @@ TEST(SimConfigValidate, RejectsNonsense) {
 
   bad = small_wedge_config();
   bad.wedge_x0 = 45.0;  // wedge pokes out of the domain
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  EXPECT_THROW(with_wedge_body(bad).validate(), std::invalid_argument);
 
   bad = small_wedge_config();
   bad.wedge_angle_deg = 70.0;  // taller than the tunnel
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
+  EXPECT_THROW(with_wedge_body(bad).validate(), std::invalid_argument);
 
   bad = small_wedge_config();
   bad.sort_scale = 0;
@@ -84,11 +99,11 @@ TEST(Simulation, NoParticleStartsInsideTheWedge) {
   cmdp::ThreadPool pool(4);
   core::SimulationD sim(small_wedge_config(), &pool);
   const auto& s = sim.particles();
-  const auto* w = sim.wedge();
-  ASSERT_NE(w, nullptr);
+  ASSERT_NE(sim.body(), nullptr);
+  const geom::Wedge w = small_wedge();
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s.flags[i] & core::ParticleStore<double>::kReservoirFlag) continue;
-    ASSERT_FALSE(w->inside(s.x[i], s.y[i])) << i;
+    ASSERT_FALSE(w.inside(s.x[i], s.y[i])) << i;
   }
 }
 
@@ -104,14 +119,14 @@ TEST(Simulation, StepKeepsTotalCountAndInvariants) {
   EXPECT_EQ(sim.total_count(), sim.flow_count() + sim.reservoir_count());
   // Particles stay inside the domain and outside the wedge.
   const auto& s = sim.particles();
-  const auto* w = sim.wedge();
+  const geom::Wedge w = small_wedge();
   for (std::size_t i = 0; i < s.size(); ++i) {
     if (s.flags[i] & core::ParticleStore<double>::kReservoirFlag) continue;
     ASSERT_GE(s.x[i], 0.0);
     ASSERT_LT(s.x[i], 49.0);
     ASSERT_GE(s.y[i], 0.0);
     ASSERT_LT(s.y[i], 32.0);
-    ASSERT_FALSE(w->inside(s.x[i], s.y[i]));
+    ASSERT_FALSE(w.inside(s.x[i], s.y[i]));
   }
 }
 

@@ -19,7 +19,6 @@ core::SimConfig box_config() {
   cfg.nx = 24;
   cfg.ny = 24;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;  // negligible drift
   cfg.sigma = 0.2;
   cfg.lambda_inf = 0.0;  // collide every candidate pair: fastest relaxation

@@ -6,14 +6,22 @@
 #include <cmath>
 
 #include "core/simulation.h"
+#include "geom/wedge.h"
 #include "io/shock_analysis.h"
 #include "physics/theory.h"
 
 namespace core = cmdsmc::core;
 namespace cmdp = cmdsmc::cmdp;
+namespace geom = cmdsmc::geom;
 namespace io = cmdsmc::io;
 
 namespace {
+
+constexpr double kRad = std::numbers::pi / 180.0;
+
+// The paper's 30-degree wedge: the shape the shock analysis measures against
+// (the simulation sees the same outline as Body::Wedge).
+const geom::Wedge kWedge(20.0, 25.0, 30.0 * kRad);
 
 core::SimConfig wedge_config() {
   core::SimConfig cfg;
@@ -23,9 +31,7 @@ core::SimConfig wedge_config() {
   cfg.sigma = 0.18;  // fast transit for test runtime
   cfg.lambda_inf = 0.0;
   cfg.particles_per_cell = 8.0;
-  cfg.wedge_x0 = 20.0;
-  cfg.wedge_base = 25.0;
-  cfg.wedge_angle_deg = 30.0;
+  cfg.body = geom::Body::Wedge(kWedge.x0(), kWedge.base(), kWedge.angle());
   cfg.seed = 2024;
   return cfg;
 }
@@ -39,7 +45,7 @@ TEST(WedgeIntegration, ReproducesObliqueShockTheory) {
   sim.set_sampling(true);
   sim.run(400);
   const auto f = sim.field();
-  const auto fit = io::measure_oblique_shock(f, *sim.wedge());
+  const auto fit = io::measure_oblique_shock(f, kWedge);
   ASSERT_TRUE(fit.valid);
   EXPECT_GT(fit.columns_used, 8);
 
@@ -69,7 +75,7 @@ TEST(WedgeIntegration, ReproducesObliqueShockTheory) {
   // Post-shock flow runs parallel to the wedge surface (specular surface).
   const int ix_probe = 38;
   const int iy_probe =
-      static_cast<int>(sim.wedge()->surface_y(ix_probe + 0.5)) + 2;
+      static_cast<int>(kWedge.surface_y(ix_probe + 0.5)) + 2;
   const double flow_angle =
       std::atan2(f.at(f.uy, ix_probe, iy_probe),
                  f.at(f.ux, ix_probe, iy_probe)) *
@@ -94,8 +100,8 @@ TEST(WedgeIntegration, RarefiedShockIsWiderThanContinuum) {
     sim->set_sampling(true);
     sim->run(500);
   }
-  const auto fit_c = io::measure_oblique_shock(cont.field(), *cont.wedge());
-  const auto fit_r = io::measure_oblique_shock(rare.field(), *rare.wedge());
+  const auto fit_c = io::measure_oblique_shock(cont.field(), kWedge);
+  const auto fit_r = io::measure_oblique_shock(rare.field(), kWedge);
   ASSERT_TRUE(fit_c.valid);
   ASSERT_TRUE(fit_r.valid);
   // Paper: rarefied shock (5 cells) wider than near-continuum (3 cells).
@@ -104,8 +110,8 @@ TEST(WedgeIntegration, RarefiedShockIsWiderThanContinuum) {
   EXPECT_NEAR(fit_c.density_ratio, 3.7, 0.45);
   EXPECT_NEAR(fit_r.density_ratio, 3.7, 0.45);
   // Paper: the rarefied wake is washed out; near-continuum recompresses.
-  const auto wake_c = io::measure_wake(cont.field(), *cont.wedge());
-  const auto wake_r = io::measure_wake(rare.field(), *rare.wedge());
+  const auto wake_c = io::measure_wake(cont.field(), kWedge);
+  const auto wake_r = io::measure_wake(rare.field(), kWedge);
   EXPECT_GT(wake_c.base_density, 1.8 * wake_r.base_density);
 }
 
@@ -125,8 +131,8 @@ TEST(WedgeIntegration, FixedPointEngineMatchesDoubleEngineFields) {
   }
   const auto fd = dsim.field();
   const auto ff = fsim.field();
-  const auto fit_d = io::measure_oblique_shock(fd, *dsim.wedge());
-  const auto fit_f = io::measure_oblique_shock(ff, *fsim.wedge());
+  const auto fit_d = io::measure_oblique_shock(fd, kWedge);
+  const auto fit_f = io::measure_oblique_shock(ff, kWedge);
   ASSERT_TRUE(fit_d.valid);
   ASSERT_TRUE(fit_f.valid);
   // The paper's integer implementation is physically equivalent.

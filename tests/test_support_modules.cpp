@@ -161,7 +161,6 @@ TEST(Checkpoint, ResumesSimulationDeterministically) {
   cfg.nx = 16;
   cfg.ny = 16;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = 0.2;
   cfg.particles_per_cell = 20.0;
@@ -202,7 +201,6 @@ core::SimConfig scene_cfg() {
   cfg.sigma = 0.12;
   cfg.lambda_inf = 0.5;
   cfg.particles_per_cell = 6.0;
-  cfg.has_wedge = false;
   cfg.body = cmdsmc::geom::Body::Cylinder(16.0, 16.0, 5.0, 16);
   cfg.bodies.push_back(cmdsmc::geom::Body::Cylinder(38.0, 16.0, 5.0, 16));
   cfg.wall = cmdsmc::geom::WallModel::kDiffuseIsothermal;

@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "core/simulation.h"
-#include "io/shock_analysis.h"
 #include "io/surface_csv.h"
 #include "physics/theory.h"
 
@@ -147,53 +146,6 @@ TEST(SurfaceCsv, WritesHeaderAndSkipsEmbeddedSegments) {
 }
 
 // --- Simulation integration --------------------------------------------------
-
-TEST(SurfaceIntegration, BodyWedgeMatchesLegacyWedgeFields) {
-  // The acceptance regression: the generalized Body::Wedge path must
-  // reproduce the wedge-specific path within tight statistical tolerance.
-  cmdp::ThreadPool pool(0);
-  core::SimConfig legacy = body_wedge_config();
-  legacy.body.reset();  // wedge-specific path
-  core::SimConfig general = body_wedge_config();
-
-  core::SimulationD sim_l(legacy, &pool);
-  core::SimulationD sim_b(general, &pool);
-  EXPECT_NE(sim_l.wedge(), nullptr);
-  EXPECT_EQ(sim_b.wedge(), nullptr);
-  ASSERT_NE(sim_b.body(), nullptr);
-  // Identical initial particle placement (same seed, same solid region).
-  EXPECT_EQ(sim_l.total_count(), sim_b.total_count());
-
-  for (auto* sim : {&sim_l, &sim_b}) {
-    sim->run(300);
-    sim->set_sampling(true);
-    sim->run(300);
-  }
-  const auto fl = sim_l.field();
-  const auto fb = sim_b.field();
-
-  // Cell-wise density agreement in the L1 sense (independent DSMC noise in
-  // each cell is a few percent at these sample counts).
-  double diff = 0.0;
-  double norm = 0.0;
-  for (std::size_t c = 0; c < fl.density.size(); ++c) {
-    diff += std::abs(fl.density[c] - fb.density[c]);
-    norm += std::abs(fl.density[c]);
-  }
-  ASSERT_GT(norm, 0.0);
-  EXPECT_LT(diff / norm, 0.05);
-
-  // Shock-angle agreement within 1% of the legacy value.
-  const geom::Wedge analysis_wedge(20.0, 25.0, 30.0 * kRad);
-  const auto fit_l = io::measure_oblique_shock(fl, analysis_wedge);
-  const auto fit_b = io::measure_oblique_shock(fb, analysis_wedge);
-  ASSERT_TRUE(fit_l.valid);
-  ASSERT_TRUE(fit_b.valid);
-  EXPECT_LT(std::abs(fit_b.angle_deg - fit_l.angle_deg),
-            0.01 * fit_l.angle_deg);
-  EXPECT_LT(std::abs(fit_b.density_ratio - fit_l.density_ratio),
-            0.05 * fit_l.density_ratio);
-}
 
 TEST(SurfaceIntegration, WedgeRampPressureMatchesObliqueShockTheory) {
   cmdp::ThreadPool pool(0);

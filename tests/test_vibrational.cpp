@@ -16,7 +16,6 @@ core::SimConfig vib_box(double exchange_prob, double vib_t0) {
   cfg.nx = 20;
   cfg.ny = 20;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.sigma = 0.2;
   cfg.lambda_inf = 0.0;
@@ -62,7 +61,6 @@ TEST(Vibrational, ValidatesConfig) {
 TEST(Vibrational, DisabledByDefaultAndNoVibArrays) {
   core::SimConfig cfg;
   cfg.closed_box = true;
-  cfg.has_wedge = false;
   cfg.mach = 0.01;
   cfg.nx = cfg.ny = 8;
   cmdp::ThreadPool pool(2);
