@@ -36,13 +36,18 @@ void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
 
 namespace {
 
-// Shared tail of the plan builders once per-lane counts exist in `counts`
-// (lanes x key_bound, lane-major).  Converts the counts in place (or into
-// the workspace cursor table) to absolute scatter destinations and fills
-// starts[0..key_bound] with the per-key exclusive starts.
+// The scatter lanes counting_sort_plan lays its tables out for: the lanes
+// apply_sort_plan will partition the keys over.
+unsigned sort_plan_lanes(ThreadPool& pool, std::size_t n) {
+  return (pool.size() == 1 || n < kSerialCutoff) ? 1 : pool.size();
+}
+
+// Multi-lane tail of counting_sort_plan once the per-lane key counts sit in
+// `cursors` (lanes x key_bound, lane-major).  Converts them in place to
+// absolute scatter destinations and fills starts[0..key_bound] with the
+// per-key exclusive starts.
 void finish_plan_tables(ThreadPool& pool, std::uint32_t* starts,
-                        std::uint32_t* cursors,
-                        const std::uint32_t* counts, unsigned lanes,
+                        std::uint32_t* cursors, unsigned lanes,
                         std::uint32_t key_bound) {
   // Column-wise: cursor(t, k) = prefix of counts within key k across lanes;
   // per-key totals into starts[k + 1].
@@ -51,7 +56,7 @@ void finish_plan_tables(ThreadPool& pool, std::uint32_t* starts,
     std::uint32_t running = 0;
     for (unsigned t = 0; t < lanes; ++t) {
       const std::size_t at = static_cast<std::size_t>(t) * key_bound + k;
-      const std::uint32_t c = counts[at];
+      const std::uint32_t c = cursors[at];
       cursors[at] = running;
       running += c;
     }
@@ -118,26 +123,7 @@ SortPlan counting_sort_plan(ThreadPool& pool,
     const Range r = lane_range(n, tid, lanes);
     for (std::size_t i = r.begin; i < r.end; ++i) ++h[keys[i]];
   });
-  finish_plan_tables(pool, starts, cursors, cursors, lanes, key_bound);
-  return plan;
-}
-
-SortPlan counting_sort_plan_from_counts(
-    ThreadPool& pool, std::span<const std::uint32_t> lane_counts,
-    unsigned lanes, std::size_t n, std::uint32_t key_bound) {
-  assert(key_bound >= 1 && key_bound <= kDirectSortBound);
-  assert(lane_counts.size() >= static_cast<std::size_t>(lanes) * key_bound);
-  assert(lanes == sort_plan_lanes(pool, n));
-  SortPlan plan = lay_out_plan(pool.workspace(), n, key_bound, lanes);
-  std::uint32_t* starts = const_cast<std::uint32_t*>(plan.key_starts.data());
-  if (lanes == 1) {
-    starts[0] = 0;
-    for (std::uint32_t k = 0; k < key_bound; ++k)
-      starts[k + 1] = starts[k] + lane_counts[k];
-    return plan;
-  }
-  finish_plan_tables(pool, starts, plan.cursors.data(), lane_counts.data(),
-                     lanes, key_bound);
+  finish_plan_tables(pool, starts, cursors, lanes, key_bound);
   return plan;
 }
 

@@ -52,22 +52,6 @@ SortPlan counting_sort_plan(ThreadPool& pool,
                             std::span<const std::uint32_t> keys,
                             std::uint32_t key_bound);
 
-// Same plan from per-lane key counts the caller already accumulated (e.g.
-// fused into the pass that produced the keys), skipping the counting pass
-// entirely.  `lane_counts` holds lanes x key_bound counts where lane t
-// counted exactly the keys in lane_range(n, t, lanes); `lanes` must match
-// the lane layout counting_sort_plan would pick for (pool, n) so that
-// apply_sort_plan partitions identically.
-SortPlan counting_sort_plan_from_counts(
-    ThreadPool& pool, std::span<const std::uint32_t> lane_counts,
-    unsigned lanes, std::size_t n, std::uint32_t key_bound);
-
-// The lane layout counting_sort_plan uses for n elements on this pool; the
-// contract callers of counting_sort_plan_from_counts must reproduce.
-inline unsigned sort_plan_lanes(ThreadPool& pool, std::size_t n) {
-  return (pool.size() == 1 || n < kSerialCutoff) ? 1 : pool.size();
-}
-
 // Executes a plan: calls move(src, dst) exactly once per element, where dst
 // is the element's stable sorted position (equal keys keep input order).
 // Consumes the plan's cursors — apply a plan at most once.

@@ -2,6 +2,7 @@
 // algorithmic knob the ablation benches exercise.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <numbers>
@@ -204,6 +205,34 @@ struct SimConfig {
           "SimConfig: shard_collide_weight must be in [0, 64]");
     if (sort_scale < 1 || sort_scale > 256)
       throw std::invalid_argument("SimConfig: sort_scale must be in [1,256]");
+    {
+      // Simulation::sort_key_bound() = (cells + reservoir pseudo-cells) *
+      // sort_scale (+1 reserved key when axisymmetric) is a 32-bit value, so
+      // bound it here in 64 bits before anything is allocated.  The
+      // pseudo-cells follow init_particles (n_res / 64 + 1) with the whole
+      // grid as open volume: bodies only remove volume, so this covers
+      // every body layout.  The plane is saturated at 2^32 so that nz
+      // cannot wrap the product; a saturated count fails the check anyway.
+      constexpr std::uint64_t kKeyLimit = std::uint64_t{1} << 32;
+      const std::uint64_t cells =
+          std::min(static_cast<std::uint64_t>(nx) *
+                       static_cast<std::uint64_t>(ny),
+                   kKeyLimit) *
+          static_cast<std::uint64_t>(nz > 0 ? nz : 1);
+      const double n_flow =
+          std::round(particles_per_cell * static_cast<double>(cells));
+      const double res_cells =
+          std::floor(std::round(reservoir_fraction * n_flow) / 64.0) + 1.0;
+      if (cells >= kKeyLimit || res_cells >= static_cast<double>(kKeyLimit) ||
+          (cells + static_cast<std::uint64_t>(res_cells)) *
+                      static_cast<std::uint64_t>(sort_scale) +
+                  (axisymmetric ? 1u : 0u) >
+              kKeyLimit - 1)
+        throw std::invalid_argument(
+            "SimConfig: sort key space (cells + reservoir pseudo-cells) * "
+            "sort_scale exceeds 32 bits; lower sort_scale, the grid size or "
+            "particles_per_cell");
+    }
     if (transpositions_per_collision < 0 || transpositions_per_collision > 4)
       throw std::invalid_argument(
           "SimConfig: transpositions_per_collision must be in [0, 4]");

@@ -431,9 +431,8 @@ void Simulation<Real>::emit_step_stats() {
                    : 0.0;
   s.arena_bytes =
       pool_->workspace().bytes() +
-      sizeof(std::uint32_t) * (keys_.capacity() + key_counts_.capacity() +
-                               order_.capacity() + counts_.capacity() +
-                               starts_.capacity());
+      sizeof(std::uint32_t) * (keys_.capacity() + order_.capacity() +
+                               counts_.capacity() + starts_.capacity());
   // Timing deltas.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
@@ -542,8 +541,8 @@ void Simulation<Real>::phase_move_and_boundaries() {
       !cfg_.closed_box && cfg_.upstream == geom::UpstreamMode::kSoftSource;
   const Real one = N::from_double(1.0);
   // Hoisted loop invariants and raw array pointers: byte stores inside the
-  // loop (flags, key counts) would otherwise force the compiler to re-load
-  // every member and vector data pointer each iteration.
+  // loop (flags) would otherwise force the compiler to re-load every member
+  // and vector data pointer each iteration.
   const bool has_z = store_.has_z;
   const int gnx = grid_.nx;
   const int gny = grid_.ny;
@@ -567,22 +566,9 @@ void Simulation<Real>::phase_move_and_boundaries() {
   const bool axi = cfg_.axisymmetric;
   const double* const weightp = axi ? store_.weight.data() : nullptr;
   const double axi_disp[3] = {0.0, kInteriorDispL1, kInteriorMaxDisp};
-  // Key histograms ride along with the key writes: one per scatter lane of
-  // the upcoming sort, so phase_sort can skip its counting pass entirely.
-  const std::uint32_t key_bound = sort_key_bound();
-  key_count_lanes_ =
-      key_bound <= cmdp::kDirectSortBound ? cmdp::sort_plan_lanes(*pool_, n)
-                                          : 0;
-  if (key_count_lanes_ != 0)
-    key_counts_.resize(static_cast<std::size_t>(key_count_lanes_) * key_bound);
   std::atomic<std::uint64_t> removed{0};
   std::atomic<std::uint64_t> strip{0};
   cmdp::parallel_chunks(*pool_, n, [&](cmdp::Range r, unsigned tid) {
-    std::uint32_t* kc = key_count_lanes_ != 0
-                            ? key_counts_.data() +
-                                  static_cast<std::size_t>(tid) * key_bound
-                            : nullptr;
-    if (kc != nullptr) std::fill(kc, kc + key_bound, 0u);
     std::uint64_t local_removed = 0;
     std::uint64_t local_strip = 0;
     // Hoisted out of the loop: entries past `count` are never read, so a
@@ -620,9 +606,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
         // so partners change between steps.
         const std::uint32_t cell = reservoir_pair_cell(i);
         cellp[i] = cell;
-        const std::uint32_t key = key_of(i, cell);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cell);
         continue;
       }
       const Real vx = uxp[i];
@@ -661,9 +645,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
           const auto cell = static_cast<std::uint32_t>(iy * gnx + ix);
           cellp[i] = cell;
           if (count_strip && px < one) ++local_strip;
-          const std::uint32_t key = key_of(i, cell);
-          keysp[i] = key;
-          if (kc != nullptr) ++kc[key];
+          keysp[i] = key_of(i, cell);
           continue;
         }
         // 2) Boundary conditions on the rotated state.  The floor at r = 0
@@ -700,9 +682,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
         } else {
           park_in_reservoir(i);
         }
-        const std::uint32_t key = key_of(i, cellp[i]);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cellp[i]);
         continue;
       }
       const Real lo = disp_lo[interior[c0]];
@@ -727,9 +707,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
             (static_cast<std::int64_t>(iz) * gny + iy) * gnx + ix);
         cellp[i] = cell;
         if (count_strip && px < one) ++local_strip;
-        const std::uint32_t key = key_of(i, cell);
-        keysp[i] = key;
-        if (kc != nullptr) ++kc[key];
+        keysp[i] = key_of(i, cell);
         continue;
       }
       // 1) Collisionless motion.
@@ -768,9 +746,7 @@ void Simulation<Real>::phase_move_and_boundaries() {
       } else {
         park_in_reservoir(i);
       }
-      const std::uint32_t key = key_of(i, cellp[i]);
-      keysp[i] = key;
-      if (kc != nullptr) ++kc[key];
+      keysp[i] = key_of(i, cellp[i]);
     }
     removed.fetch_add(local_removed, std::memory_order_relaxed);
     strip.fetch_add(local_strip, std::memory_order_relaxed);
@@ -801,16 +777,6 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
   const std::size_t k = need < res_tail_ ? need : res_tail_;
   const double ny = grid_.ny;
   const double nz = grid_.is3d() ? grid_.nz : 0.0;
-  const std::size_t key_bound = sort_key_bound();
-  // The move loop counted these tail particles under their reservoir keys;
-  // retract those counts before the re-key below (and restore after).
-  if (key_count_lanes_ != 0) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = n - 1 - j;
-      --key_counts_[cmdp::lane_of_index(i, n, key_count_lanes_) * key_bound +
-                    keys_[i]];
-    }
-  }
   cmdp::parallel_for(*pool_, k, [&](std::size_t j) {
     const std::size_t i = n - 1 - j;
     rng::SplitMix64 g(bits_for(i, kSaltInject));
@@ -834,22 +800,12 @@ void Simulation<Real>::inject_void(double width, double x_offset) {
     // for its new flow cell.
     keys_[i] = sort_key_for(i);
   });
-  if (key_count_lanes_ != 0) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t i = n - 1 - j;
-      ++key_counts_[cmdp::lane_of_index(i, n, key_count_lanes_) * key_bound +
-                    keys_[i]];
-    }
-  }
   res_tail_ -= k;
   res_count_ -= k;
   counters_.injected += k;
   if (need > k) {
     // Reservoir ran dry: synthesize the remainder directly (costly path the
-    // reservoir design exists to avoid; counted for diagnostics).  Growing
-    // the array shifts every scatter lane, so the fused key histograms are
-    // void — phase_sort falls back to its own counting pass.
-    key_count_lanes_ = 0;
+    // reservoir design exists to avoid; counted for diagnostics).
     rng::SplitMix64 g(rng::hash4(cfg_.seed, store_.size(),
                                  static_cast<std::uint64_t>(step_),
                                  kSaltInject));
@@ -913,11 +869,7 @@ void Simulation<Real>::phase_sort() {
   starts_.resize(pair_cells);
   if (key_bound <= cmdp::kDirectSortBound) {
     const cmdp::SortPlan plan =
-        key_count_lanes_ != 0 &&
-                key_count_lanes_ == cmdp::sort_plan_lanes(*pool_, n)
-            ? cmdp::counting_sort_plan_from_counts(
-                  *pool_, key_counts_, key_count_lanes_, n, key_bound)
-            : cmdp::counting_sort_plan(*pool_, keys_, key_bound);
+        cmdp::counting_sort_plan(*pool_, keys_, key_bound);
     // Fold the sort_scale sub-keys back into per-cell tables: because the
     // key of cell c lies in [c*scale, (c+1)*scale), the per-cell starts and
     // counts drop out of the plan's key-starts table without another pass
@@ -953,7 +905,6 @@ void Simulation<Real>::phase_sort() {
     keys_.resize(n - dead);
   }
   res_tail_ = res_count_;
-  key_count_lanes_ = 0;  // consumed
   if (cfg_.axisymmetric) refresh_cell_weight();
   update_shards();
 }
@@ -1218,8 +1169,6 @@ std::size_t Simulation<Real>::balance_weights(bool mark_dead_keys) {
   merged_total = merged_acc.load();
   counters_.cloned += total_clones;
   counters_.merged += merged_total;
-  // Appends and re-keys invalidate the fused per-lane key histograms.
-  if (total_clones != 0 || merged_total != 0) key_count_lanes_ = 0;
   return merged_total;
 }
 
@@ -1543,7 +1492,6 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   res_count_ = static_cast<std::size_t>(state.res_count);
   res_tail_ = static_cast<std::size_t>(state.res_tail);
   counters_ = state.counters;
-  key_count_lanes_ = 0;  // transient per-step state; regenerate
   // The shard plan is transient too: the first post-restore sort rebuilds
   // it from fresh counts (the assignment carries no physics, so a restore
   // across a different shard/lane configuration reproduces the same bits).

@@ -278,6 +278,7 @@ class Simulation {
   // Sort key space: pair cells * sort_scale, plus one reserved past-the-end
   // key value in axisymmetric runs for merged-away slots (they sort behind
   // the reservoir band and are truncated after the scatter).
+  // SimConfig::validate() rejects configs for which this would wrap.
   std::uint32_t sort_key_bound() const {
     return (ncells_ + res_cells_) *
                static_cast<std::uint32_t>(cfg_.sort_scale) +
@@ -326,15 +327,14 @@ class Simulation {
 
   ParticleStore<Real> store_;
   ParticleStore<Real> scratch_;
+  // Sort keys, written by the move loop (and re-keyed by injection and the
+  // balance pass); phase_sort hands them to cmdp::counting_sort_plan, which
+  // owns the counting pass and its per-lane layout.
   std::vector<std::uint32_t> keys_;
-  // Per-lane key histograms accumulated while the move loop writes keys_,
-  // handed to counting_sort_plan_from_counts so the sort phase skips its
-  // counting pass.  key_count_lanes_ == 0 marks them invalid (radix-range
-  // key space, or the particle array grew after the move loop).
-  std::vector<std::uint32_t> key_counts_;
-  unsigned key_count_lanes_ = 0;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> counts_;  // per pairing cell
+  std::vector<std::uint32_t> order_;  // radix-range gather permutation
+  // Per pairing cell (real cells, then reservoir pseudo-cells): particle
+  // count and first sorted position, filled by phase_sort.
+  std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> starts_;
 
   std::size_t res_count_ = 0;  // reservoir particles (anywhere in the array)

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "rng/rng.h"
@@ -37,13 +38,29 @@ struct SortCase {
   std::uint32_t bound;
 };
 
+// Key bounds the direct counting sort accepts (<= kDirectSortBound): both
+// the counting and the general stable sort run them.
 class SortCases : public ::testing::TestWithParam<SortCase> {};
+// Key bounds past kDirectSortBound: only stable_sort_index's radix path
+// takes them.  Printed by value, which names the tests.
+struct RadixCase : SortCase {};
+void PrintTo(const RadixCase& c, std::ostream* os) {
+  *os << "n" << c.n << "_bound" << c.bound;
+}
+class RadixSortCases : public ::testing::TestWithParam<RadixCase> {};
+
+void expect_stable_sort_matches_reference(const SortCase& c) {
+  cmdp::ThreadPool pool(6);
+  const auto keys = random_keys(c.n, c.bound, 2000 + c.n);
+  std::vector<std::uint32_t> order(c.n);
+  cmdp::stable_sort_index(pool, keys, c.bound, order);
+  EXPECT_EQ(order, reference_order(keys));
+}
 
 }  // namespace
 
 TEST_P(SortCases, CountingSortMatchesStableReference) {
   const auto [n, bound] = GetParam();
-  if (bound > (1u << 21)) GTEST_SKIP() << "direct counting sort only";
   cmdp::ThreadPool pool(6);
   const auto keys = random_keys(n, bound, 1000 + n);
   std::vector<std::uint32_t> order(n);
@@ -52,22 +69,23 @@ TEST_P(SortCases, CountingSortMatchesStableReference) {
 }
 
 TEST_P(SortCases, StableSortMatchesStableReference) {
-  const auto [n, bound] = GetParam();
-  cmdp::ThreadPool pool(6);
-  const auto keys = random_keys(n, bound, 2000 + n);
-  std::vector<std::uint32_t> order(n);
-  cmdp::stable_sort_index(pool, keys, bound, order);
-  EXPECT_EQ(order, reference_order(keys));
+  expect_stable_sort_matches_reference(GetParam());
+}
+
+TEST_P(RadixSortCases, StableSortMatchesStableReference) {
+  ASSERT_GT(GetParam().bound, cmdp::kDirectSortBound);
+  expect_stable_sort_matches_reference(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, SortCases,
     ::testing::Values(SortCase{0, 16}, SortCase{1, 16}, SortCase{100, 4},
                       SortCase{5000, 1}, SortCase{10000, 65536},
-                      SortCase{100000, 50000}, SortCase{200000, 7},
-                      // radix path: key bound beyond the direct threshold
-                      SortCase{100000, 1u << 24},
-                      SortCase{65536, 0xffffffffu}));
+                      SortCase{100000, 50000}, SortCase{200000, 7}));
+
+INSTANTIATE_TEST_SUITE_P(Cases, RadixSortCases,
+                         ::testing::Values(RadixCase{{100000, 1u << 24}},
+                                           RadixCase{{65536, 0xffffffffu}}));
 
 TEST(Sort, OrderIsPermutation) {
   cmdp::ThreadPool pool(4);
@@ -170,36 +188,6 @@ TEST(SortPlan, ApplyProducesStableOrder) {
     const auto keys = random_keys(40000, bound, 12);
     const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, keys, bound);
     std::vector<std::uint32_t> order(keys.size());
-    cmdp::apply_sort_plan(pool, keys, plan,
-                          [&](std::size_t src, std::size_t dst) {
-                            order[dst] = static_cast<std::uint32_t>(src);
-                          });
-    EXPECT_EQ(order, reference_order(keys)) << threads << " threads";
-  }
-}
-
-TEST(SortPlan, FromCountsMatchesDirectPlan) {
-  for (unsigned threads : {1u, 4u}) {
-    cmdp::ThreadPool pool(threads);
-    const std::uint32_t bound = 555;
-    const std::size_t n = 50000;
-    const auto keys = random_keys(n, bound, 13);
-    // Accumulate per-lane counts exactly the way a fused producer would:
-    // lane t counts the keys of lane_range(n, t, lanes).
-    const unsigned lanes = cmdp::sort_plan_lanes(pool, n);
-    std::vector<std::uint32_t> lane_counts(
-        static_cast<std::size_t>(lanes) * bound, 0);
-    for (unsigned t = 0; t < lanes; ++t) {
-      const cmdp::Range r = cmdp::lane_range(n, t, lanes);
-      for (std::size_t i = r.begin; i < r.end; ++i)
-        ++lane_counts[static_cast<std::size_t>(t) * bound + keys[i]];
-    }
-    const cmdp::SortPlan plan = cmdp::counting_sort_plan_from_counts(
-        pool, lane_counts, lanes, n, bound);
-    const auto ref = reference_starts(keys, bound);
-    for (std::size_t k = 0; k < ref.size(); ++k)
-      EXPECT_EQ(plan.key_starts[k], ref[k]) << "key " << k << " @" << threads;
-    std::vector<std::uint32_t> order(n);
     cmdp::apply_sort_plan(pool, keys, plan,
                           [&](std::size_t src, std::size_t dst) {
                             order[dst] = static_cast<std::uint32_t>(src);

@@ -204,6 +204,32 @@ TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
   EXPECT_NO_THROW(wedge.build_config());
 }
 
+TEST(ScenarioOverrides, SortKeyOverflowIsAConfigError) {
+  // (cells + reservoir pseudo-cells) * sort_scale must fit the 32-bit sort
+  // keys: 4096^2 cells * 256 wraps, * 255 does not.  The overflow is a
+  // config error (CLI exit 2, "type": "config"), raised before any
+  // allocation instead of crashing the sort.
+  scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
+  for (const auto& [key, value] :
+       {std::pair{"nx", "4096"}, std::pair{"ny", "4096"},
+        std::pair{"sort_scale", "256"}, std::pair{"ppc", "0.001"}})
+    scenario::apply_override(spec, key, value);
+  try {
+    (void)spec.build_config();
+    FAIL() << "sort key overflow accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("sort_scale"), std::string::npos);
+    EXPECT_STREQ(cli::error_type(e), "config");
+    EXPECT_EQ(cli::error_exit_code(e), 2);
+  }
+  scenario::apply_override(spec, "sort_scale", "255");
+  EXPECT_NO_THROW((void)spec.build_config());
+  // A 3D grid too large for any key width is rejected, not wrapped.
+  core::SimConfig huge;
+  huge.nx = huge.ny = huge.nz = 1 << 30;
+  EXPECT_THROW(huge.validate(), std::invalid_argument);
+}
+
 TEST(ScenarioRunner, AxisymmetricRunReportsRevolvedBodyCoefficients) {
   cmdp::ThreadPool pool(0);
   scenario::ScenarioSpec spec = scenario::get_scenario("biconic_axi");

@@ -3,12 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
+#include <utility>
 
+#include "audit/audit.h"
+#include "cmdp/sort.h"
 #include "geom/wedge.h"
+#include "scenario/scenario.h"
 
 namespace core = cmdsmc::core;
 namespace cmdp = cmdsmc::cmdp;
 namespace geom = cmdsmc::geom;
+namespace scenario = cmdsmc::scenario;
 using cmdsmc::fixedpoint::Fixed32;
 
 namespace {
@@ -255,4 +262,89 @@ TEST(Simulation, PhaseTimersCoverAllPhases) {
                   sim.phase_seconds(S::kPhaseCollide) +
                   sim.phase_seconds(S::kPhaseSample),
               1e-9);
+}
+
+namespace {
+
+// A registry scenario's config with overrides applied.
+core::SimConfig scenario_config(
+    const std::string& name,
+    std::initializer_list<std::pair<const char*, const char*>> overrides) {
+  scenario::ScenarioSpec spec = scenario::get_scenario(name);
+  for (const auto& [key, value] : overrides)
+    scenario::apply_override(spec, key, value);
+  return spec.build_config();
+}
+
+// The per-pairing-cell tables the sort leaves behind must tile the sorted
+// store exactly: cell c owns [starts[c], starts[c] + counts[c]).
+void expect_sort_tables_match_store(const core::SimulationD& sim) {
+  const auto& counts = sim.sort_counts();
+  const auto& starts = sim.sort_starts();
+  const auto& cell = sim.particles().cell;
+  ASSERT_EQ(counts.size(), starts.size());
+  std::size_t at = 0;
+  for (std::size_t c = 0; c < counts.size(); ++c) {
+    ASSERT_EQ(starts[c], at) << "cell " << c;
+    for (std::uint32_t i = 0; i < counts[c]; ++i)
+      ASSERT_EQ(cell[at + i], c) << "cell " << c << " slot " << i;
+    at += counts[c];
+  }
+  EXPECT_EQ(at, sim.total_count());
+}
+
+void expect_same_counters(const core::SimCounters& a,
+                          const core::SimCounters& b) {
+  EXPECT_EQ(a.candidates, b.candidates);
+  EXPECT_EQ(a.collisions, b.collisions);
+  EXPECT_EQ(a.reservoir_collisions, b.reservoir_collisions);
+  EXPECT_EQ(a.removed, b.removed);
+  EXPECT_EQ(a.injected, b.injected);
+  EXPECT_EQ(a.synthesized, b.synthesized);
+  EXPECT_EQ(a.cloned, b.cloned);
+  EXPECT_EQ(a.merged, b.merged);
+}
+
+// Runs cfg at 1 and 4 lanes through phase_sort's radix branch (key space
+// past kDirectSortBound) and checks lane invariance plus the sort tables.
+// Returns the run's counters.
+core::SimCounters expect_radix_sort_lane_invariant(const core::SimConfig& cfg,
+                                                   int steps) {
+  cmdp::ThreadPool pool1(1);
+  cmdp::ThreadPool pool4(4);
+  core::SimulationD a(cfg, &pool1);
+  core::SimulationD b(cfg, &pool4);
+  a.run(steps);
+  b.run(steps);
+  // Pairing cells * sort_scale is the key space (plus the reserved dead key
+  // in axisymmetric runs).
+  EXPECT_GT(a.sort_counts().size() * static_cast<std::size_t>(cfg.sort_scale),
+            std::size_t{cmdp::kDirectSortBound});
+  EXPECT_GT(a.counters().collisions, 0u);
+  expect_same_counters(a.counters(), b.counters());
+  EXPECT_EQ(cmdsmc::audit::hash_store(a.particles()),
+            cmdsmc::audit::hash_store(b.particles()));
+  EXPECT_EQ(a.sort_counts(), b.sort_counts());
+  EXPECT_EQ(a.sort_starts(), b.sort_starts());
+  expect_sort_tables_match_store(a);
+  expect_sort_tables_match_store(b);
+  return a.counters();
+}
+
+}  // namespace
+
+TEST(Simulation, RadixSortPathIsLaneInvariantPlanar) {
+  const core::SimConfig cfg = scenario_config(
+      "wedge-mach4", {{"nx", "200"}, {"sort_scale", "256"}, {"ppc", "4"}});
+  EXPECT_GT(expect_radix_sort_lane_invariant(cfg, 12).injected, 0u);
+}
+
+TEST(Simulation, RadixSortPathIsLaneInvariantAxisymmetric) {
+  const core::SimConfig cfg = scenario_config(
+      "biconic_axi", {{"nx", "240"}, {"sort_scale", "256"}});
+  ASSERT_TRUE(cfg.axisymmetric);
+  // Merges exercise the dead-key truncation behind the radix reorder.
+  const core::SimCounters c = expect_radix_sort_lane_invariant(cfg, 12);
+  EXPECT_GT(c.cloned, 0u);
+  EXPECT_GT(c.merged, 0u);
 }
