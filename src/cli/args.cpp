@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "io/json.h"
+
 namespace cmdsmc::cli {
 
 namespace {
@@ -103,19 +105,9 @@ void throw_bad_choice(const std::string& key, const std::string& value,
 
 std::string error_json(const std::string& type, const std::string& message) {
   std::string out = "{\"error\": {\"type\": \"";
-  const auto escape = [&out](const std::string& s) {
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n' || c == '\r' || c == '\t') {
-        out += ' ';
-        continue;
-      }
-      out += c;
-    }
-  };
-  escape(type);
+  io::json_escape(out, type);
   out += "\", \"message\": \"";
-  escape(message);
+  io::json_escape(out, message);
   out += "\"}}";
   return out;
 }

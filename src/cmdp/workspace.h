@@ -1,11 +1,12 @@
 // Reusable scratch for the allocation-heavy cmdp primitives.
 //
-// The per-step hot loop calls histogram / counting-sort / compaction every
-// step; before this arena each call heap-allocated (and freed) its lane
-// tables and radix passes.  One Workspace lives on each ThreadPool: a pool is
-// not reentrant, so primitives running on the same pool never overlap and can
-// share these buffers.  Buffers only grow (resize keeps capacity across
-// steps); release() returns the memory to the allocator.
+// The per-step hot loop sorts every step (the counting-sort plan, or the
+// radix passes plus a histogram for huge key spaces); before this arena each
+// call heap-allocated (and freed) its lane tables and radix passes.  One
+// Workspace lives on each ThreadPool: a pool is not reentrant, so primitives
+// running on the same pool never overlap and can share these buffers.
+// Buffers only grow (resize keeps capacity across steps); release() returns
+// the memory to the allocator.
 #pragma once
 
 #include <cstddef>
@@ -26,16 +27,13 @@ struct Workspace {
   std::vector<std::uint32_t> radix_order1;
   std::vector<std::uint32_t> radix_high;
   std::vector<std::uint32_t> radix_order2;
-  // compact_indices: keep-flags to offsets scratch (two n-sized arrays).
-  std::vector<std::uint32_t> compact_ones;
-  std::vector<std::uint32_t> compact_offsets;
 
   // Bytes currently held across all buffers (telemetry's arena gauge).
   std::size_t bytes() const {
     std::size_t total = 0;
     for (const auto* v :
          {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
-          &radix_high, &radix_order2, &compact_ones, &compact_offsets}) {
+          &radix_high, &radix_order2}) {
       total += v->capacity() * sizeof(std::uint32_t);
     }
     return total;
@@ -45,7 +43,7 @@ struct Workspace {
   void release() {
     for (auto* v :
          {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
-          &radix_high, &radix_order2, &compact_ones, &compact_offsets}) {
+          &radix_high, &radix_order2}) {
       v->clear();
       v->shrink_to_fit();
     }

@@ -110,23 +110,15 @@ struct SimConfig {
   bool reservoir_collisions = true;
 
   // --- Cell-block domain sharding (dynamic load balancing) ---
-  // When on (and the pool has more than one lane), selection+collision and
-  // field sampling parallelize over contiguous cell-block shards assigned to
-  // lanes by a greedy cost partitioner (cmdp/shard.h) instead of the static
-  // equal-index split; the per-cell cost is count + collide_weight * pairs,
-  // with collide_weight adapted from the phase timers when shard_adapt is
-  // set.  Repartitioning happens when the predicted max/mean cost imbalance
-  // of the current assignment exceeds shard_rebalance_threshold and at least
-  // shard_rebalance_interval steps have passed since the last repartition.
-  // Physics is bit-identical to the static split either way; sharding also
-  // makes the sampled-field accumulation order (and thus its hashes)
-  // independent of the lane count.
+  // When on (and the pool has more than one lane), every per-cell phase —
+  // selection+collision and field sampling — walks contiguous cell-block
+  // shards assigned to lanes by a greedy cost partitioner (cmdp/shard.h)
+  // instead of the static particle-balanced split.  The partitioner's
+  // constants (shards per lane, repartition trigger and interval, the
+  // timer-adapted cost blend) live in simulation.cpp.  Physics and sampled
+  // fields are bit-identical either way: the partition only decides which
+  // lane walks a cell block.
   bool shard_enable = true;
-  int shard_per_lane = 4;                   // shards = lanes * this
-  double shard_rebalance_threshold = 1.10;  // predicted max/mean trigger
-  int shard_rebalance_interval = 8;         // min steps between repartitions
-  double shard_collide_weight = 1.0;        // initial pair-vs-particle blend
-  bool shard_adapt = true;                  // adapt the blend from timers
 
   std::uint64_t seed = 0x5eed5eedULL;
 
@@ -191,18 +183,6 @@ struct SimConfig {
     };
     for (const geom::Body& b : bodies) check_body(b);
     if (body) check_body(*body);
-    if (shard_per_lane < 1 || shard_per_lane > 256)
-      throw std::invalid_argument(
-          "SimConfig: shard_per_lane must be in [1, 256]");
-    if (shard_rebalance_threshold < 1.0)
-      throw std::invalid_argument(
-          "SimConfig: shard_rebalance_threshold must be >= 1");
-    if (shard_rebalance_interval < 1)
-      throw std::invalid_argument(
-          "SimConfig: shard_rebalance_interval must be >= 1");
-    if (shard_collide_weight < 0.0 || shard_collide_weight > 64.0)
-      throw std::invalid_argument(
-          "SimConfig: shard_collide_weight must be in [0, 64]");
     if (sort_scale < 1 || sort_scale > 256)
       throw std::invalid_argument("SimConfig: sort_scale must be in [1,256]");
     {

@@ -7,14 +7,13 @@
 // volume ... in computing the time average cell density".
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
-#include "cmdp/parallel.h"
-#include "cmdp/shard.h"
-#include "cmdp/thread_pool.h"
 #include "core/particles.h"
 #include "geom/grid.h"
 #include "physics/numeric.h"
@@ -39,8 +38,9 @@ struct FieldStats {
   }
 };
 
-// Running per-cell moment sums.  Accumulation is lane-parallel into private
-// buffers that are reduced per cell.
+// Running per-cell moment sums.  The sampler only walks cells; which lane
+// walks which cell block is the caller's choice (Simulation's cell-walk
+// dispatch).
 template <class Real>
 class FieldSampler {
  public:
@@ -63,34 +63,33 @@ class FieldSampler {
     std::fill(sums_.begin(), sums_.end(), 0.0);
   }
 
-  // Accumulates moments of the first `n_flow` particles (the flow particles;
-  // reservoir particles sit behind them after the sort).  Requires
-  // store.cell[i] to hold the real grid cell for i < n_flow.  `weights`
-  // (when non-null) scales every moment by the particle's statistical
-  // weight — the axisymmetric radial weighting; the unweighted loop is kept
-  // separate so the planar hot path is untouched.
-  void accumulate(cmdp::ThreadPool& pool, const ParticleStore<Real>& store,
-                  std::size_t n_flow, const double* weights = nullptr) {
+  // Adds the moments of cells [cbegin, min(cend, ncells)) over the sorted
+  // runs: after the counting sort, cell c's particles occupy
+  // [starts[c], starts[c] + counts[c]).  Each cell's moments add into sums_
+  // in ascending particle order, so the sums do not depend on how the
+  // caller splits the cell range across lanes — disjoint ranges may run
+  // concurrently.  Pairing cells past the grid (the reservoir band) carry
+  // no field and are skipped.  `weights` (when non-null) scales every
+  // moment by the particle's statistical weight — the axisymmetric radial
+  // weighting.
+  void add_cells(const ParticleStore<Real>& store,
+                 const std::uint32_t* counts, const std::uint32_t* starts,
+                 std::size_t cbegin, std::size_t cend,
+                 const double* weights = nullptr) {
     using N = physics::Num<Real>;
     const std::size_t ncells = static_cast<std::size_t>(grid_.ncells());
-    const unsigned lanes = pool.size();
-    if (lane_sums_.size() != lanes * ncells * kMoments)
-      lane_sums_.assign(static_cast<std::size_t>(lanes) * ncells * kMoments,
-                        0.0);
-    else
-      std::fill(lane_sums_.begin(), lane_sums_.end(), 0.0);
-    cmdp::parallel_chunks(pool, n_flow, [&](cmdp::Range r, unsigned tid) {
-      double* s = lane_sums_.data() +
-                  static_cast<std::size_t>(tid) * ncells * kMoments;
-      for (std::size_t i = r.begin; i < r.end; ++i) {
-        const std::uint32_t c = store.cell[i];
-        if (c >= ncells) continue;  // defensive: pairing band
+    if (cend > ncells) cend = ncells;
+    for (std::size_t c = cbegin; c < cend; ++c) {
+      const std::uint32_t cnt = counts[c];
+      if (cnt == 0) continue;
+      const std::size_t s = starts[c];
+      double* m = sums_.data() + c * kMoments;
+      for (std::size_t i = s; i < s + cnt; ++i) {
         const double vx = N::to_double(store.ux[i]);
         const double vy = N::to_double(store.uy[i]);
         const double vz = N::to_double(store.uz[i]);
         const double w0 = N::to_double(store.r0[i]);
         const double w1 = N::to_double(store.r1[i]);
-        double* m = s + static_cast<std::size_t>(c) * kMoments;
         if (weights == nullptr) {
           m[0] += 1.0;
           m[1] += vx;
@@ -112,82 +111,11 @@ class FieldSampler {
           m[7] += w * (w0 * w0 + w1 * w1);
         }
       }
-    });
-    cmdp::parallel_for(pool, ncells, [&](std::size_t c) {
-      double* dst = sums_.data() + c * kMoments;
-      for (unsigned t = 0; t < lanes; ++t) {
-        const double* src = lane_sums_.data() +
-                            (static_cast<std::size_t>(t) * ncells + c) *
-                                kMoments;
-        for (int m = 0; m < kMoments; ++m) dst[m] += src[m];
-      }
-    });
-    ++samples_;
+    }
   }
 
-  // Per-cell accumulation over the sorted runs: after the counting sort,
-  // cell c's particles occupy [starts[c], starts[c] + counts[c]), every
-  // cell belongs to exactly one lane (its shard's owner), and moments add
-  // into sums_ in ascending index order — so the accumulated sums are
-  // bit-identical for every lane count and every shard assignment, a
-  // stronger guarantee than accumulate()'s lane-major reduction (whose
-  // summation order depends on the lane count).  Also skips accumulate()'s
-  // lanes * ncells zero-fill and reduction entirely.  When `plan` is
-  // inactive (single lane), the cells are walked in order on the control
-  // thread — producing the same bits.
-  void accumulate_sorted(cmdp::ThreadPool& pool,
-                         const ParticleStore<Real>& store,
-                         const std::uint32_t* counts,
-                         const std::uint32_t* starts,
-                         const cmdp::ShardPlan& plan,
-                         const double* weights = nullptr) {
-    using N = physics::Num<Real>;
-    const std::size_t ncells = static_cast<std::size_t>(grid_.ncells());
-    auto run = [&](std::size_t cbegin, std::size_t cend) {
-      if (cend > ncells) cend = ncells;  // reservoir band carries no field
-      for (std::size_t c = cbegin; c < cend; ++c) {
-        const std::uint32_t cnt = counts[c];
-        if (cnt == 0) continue;
-        const std::size_t s = starts[c];
-        double* m = sums_.data() + c * kMoments;
-        for (std::size_t i = s; i < s + cnt; ++i) {
-          const double vx = N::to_double(store.ux[i]);
-          const double vy = N::to_double(store.uy[i]);
-          const double vz = N::to_double(store.uz[i]);
-          const double w0 = N::to_double(store.r0[i]);
-          const double w1 = N::to_double(store.r1[i]);
-          if (weights == nullptr) {
-            m[0] += 1.0;
-            m[1] += vx;
-            m[2] += vy;
-            m[3] += vz;
-            m[4] += vx * vx + vy * vy + vz * vz;
-            m[5] += w0;
-            m[6] += w1;
-            m[7] += w0 * w0 + w1 * w1;
-          } else {
-            const double w = weights[i];
-            m[0] += w;
-            m[1] += w * vx;
-            m[2] += w * vy;
-            m[3] += w * vz;
-            m[4] += w * (vx * vx + vy * vy + vz * vz);
-            m[5] += w * w0;
-            m[6] += w * w1;
-            m[7] += w * (w0 * w0 + w1 * w1);
-          }
-        }
-      }
-    };
-    if (plan.active() && plan.lanes == pool.size()) {
-      cmdp::parallel_shards(pool, plan,
-                            [&](std::uint32_t cbegin, std::uint32_t cend,
-                                unsigned) { run(cbegin, cend); });
-    } else {
-      run(0, ncells);
-    }
-    ++samples_;
-  }
+  // Counts one sample; call once per step after every cell was added.
+  void count_sample() { ++samples_; }
 
   FieldStats finalize() const {
     FieldStats f;
@@ -231,8 +159,7 @@ class FieldSampler {
   }
 
   // --- Checkpoint access (core/checkpoint.*) ---
-  // The per-cell moment accumulator (ncells * 8 doubles); lane scratch is
-  // per-step transient state and never part of a checkpoint.
+  // The per-cell moment accumulator (ncells * 8 doubles).
   const std::vector<double>& accumulated() const { return sums_; }
   void restore(int samples, const std::vector<double>& sums) {
     if (samples < 0 || sums.size() != sums_.size())
@@ -251,7 +178,6 @@ class FieldSampler {
   double sigma_inf_;
   int samples_ = 0;
   std::vector<double> sums_;
-  std::vector<double> lane_sums_;
 };
 
 }  // namespace cmdsmc::core

@@ -31,6 +31,16 @@ namespace {
 constexpr double kInteriorMaxDisp = 2.0;
 constexpr double kInteriorDispL1 = 1.0;
 
+// Cell-block shard partitioner (update_shards).  Shards = lanes * per-lane
+// count.  A repartition fires when the predicted max/mean lane cost of the
+// current plan exceeds the trigger and at least the interval has passed
+// since the last one; the same interval paces the adaptation of the
+// pair-vs-particle cost blend, which starts at the initial weight.
+constexpr unsigned kShardsPerLane = 4;
+constexpr double kShardRebalanceTrigger = 1.10;
+constexpr std::int64_t kShardRebalanceInterval = 8;
+constexpr double kShardInitialCollideWeight = 1.0;
+
 // Salts keep the independent random decisions of one (particle, step)
 // decorrelated.
 enum Salt : std::uint64_t {
@@ -113,7 +123,7 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
       sampler_(grid_, open_frac_, cfg_.particles_per_cell, cfg_.sigma,
                cell_volume_) {
   seed_round_ = rng::hash4_seed_round(cfg_.seed);
-  shard_collide_weight_ = cfg_.shard_collide_weight;
+  shard_collide_weight_ = kShardInitialCollideWeight;
   u_inf_ = cfg_.closed_box ? 0.0 : cfg_.freestream_speed();
   n_inf_ = cfg_.particles_per_cell;
   ncells_ = static_cast<std::uint32_t>(grid_.ncells());
@@ -936,27 +946,25 @@ void Simulation<Real>::update_shards() {
   // the collide phase against seconds-per-particle in move+sort.  The blend
   // only steers where boundaries land — it cannot perturb physics — so the
   // nondeterminism of measured seconds is confined to performance.
-  if (cfg_.shard_adapt) {
-    adapt_np_ += store_.size();
-    if (step_ - adapt_last_step_ >= cfg_.shard_rebalance_interval) {
-      const double d_coll =
-          timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
-      const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
-                             timers_.seconds(phase_id_[kPhaseSort]) -
-                             adapt_other0_;
-      const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
-      const std::uint64_t d_np = adapt_np_ - adapt_np0_;
-      if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
-        double target = (d_coll / static_cast<double>(d_pairs)) /
-                        (d_other / static_cast<double>(d_np));
-        target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
-        shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
-        adapt_collide0_ += d_coll;
-        adapt_other0_ += d_other;
-        adapt_pairs0_ = counters_.candidates;
-        adapt_np0_ = adapt_np_;
-        adapt_last_step_ = step_;
-      }
+  adapt_np_ += store_.size();
+  if (step_ - adapt_last_step_ >= kShardRebalanceInterval) {
+    const double d_coll =
+        timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
+    const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
+                           timers_.seconds(phase_id_[kPhaseSort]) -
+                           adapt_other0_;
+    const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
+    const std::uint64_t d_np = adapt_np_ - adapt_np0_;
+    if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
+      double target = (d_coll / static_cast<double>(d_pairs)) /
+                      (d_other / static_cast<double>(d_np));
+      target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
+      shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
+      adapt_collide0_ += d_coll;
+      adapt_other0_ += d_other;
+      adapt_pairs0_ = counters_.candidates;
+      adapt_np0_ = adapt_np_;
+      adapt_last_step_ = step_;
     }
   }
   const std::uint32_t pair_cells = ncells_ + res_cells_;
@@ -969,14 +977,13 @@ void Simulation<Real>::update_shards() {
     const bool collides = countsp[c] >= 2 && (c < ncells_ || res_collide);
     shard_cost_[c] = cnt + (collides ? cw * (cnt * 0.5) : 0.0);
   });
-  const unsigned nshards =
-      lanes * static_cast<unsigned>(cfg_.shard_per_lane);
+  const unsigned nshards = lanes * kShardsPerLane;
   const bool stale = !shard_plan_.active() || shard_plan_.lanes != lanes ||
                      shard_plan_.bounds.back() != pair_cells;
   if (!stale) {
     shard_cost_imbalance_ = cmdp::shard_plan_imbalance(shard_plan_, shard_cost_);
-    if (shard_cost_imbalance_ <= cfg_.shard_rebalance_threshold ||
-        step_ - shard_last_step_ < cfg_.shard_rebalance_interval)
+    if (shard_cost_imbalance_ <= kShardRebalanceTrigger ||
+        step_ - shard_last_step_ < kShardRebalanceInterval)
       return;
   }
   shard_plan_ = cmdp::build_shard_plan(shard_cost_, nshards, lanes);
@@ -1196,9 +1203,39 @@ void Simulation<Real>::debug_rebalance() {
 }
 
 template <class Real>
-void Simulation<Real>::phase_select_and_collide() {
+template <class Fn>
+void Simulation<Real>::for_each_cell_block(Fn&& run_cells) {
   const std::size_t n = store_.size();
   const std::uint32_t pair_cells = ncells_ + res_cells_;
+  if (pool_->size() == 1 || n < cmdp::kSerialCutoff) {
+    run_cells(std::size_t{0}, std::size_t{pair_cells});
+  } else if (shard_plan_.active() && shard_plan_.lanes == pool_->size()) {
+    // Cell-block shards: each lane walks the contiguous cell blocks the
+    // cost partitioner assigned to it.
+    cmdp::parallel_shards(*pool_, shard_plan_,
+                          [&](std::uint32_t cbegin, std::uint32_t cend,
+                              unsigned) {
+                            run_cells(std::size_t{cbegin}, std::size_t{cend});
+                          });
+  } else {
+    // Static split (shard.enable=0): particle-balanced cell partition —
+    // lane t owns the cells whose first particle lies in its equal share of
+    // [0, n).
+    const unsigned lanes = pool_->size();
+    pool_->parallel([&](unsigned tid) {
+      const cmdp::Range pr = cmdp::lane_range(n, tid, lanes);
+      const auto lo = std::lower_bound(starts_.begin(), starts_.end(),
+                                       static_cast<std::uint32_t>(pr.begin));
+      const auto hi = std::lower_bound(starts_.begin(), starts_.end(),
+                                       static_cast<std::uint32_t>(pr.end));
+      run_cells(static_cast<std::size_t>(lo - starts_.begin()),
+                static_cast<std::size_t>(hi - starts_.begin()));
+    });
+  }
+}
+
+template <class Real>
+void Simulation<Real>::phase_select_and_collide() {
   // counts_/starts_ came from the sort phase's key table — no histogram or
   // scan over the particles here.  Selection and collision are one fused
   // per-cell traversal: candidate pairs are the (s, s+1), (s+2, s+3), ...
@@ -1373,31 +1410,7 @@ void Simulation<Real>::phase_select_and_collide() {
     collided.fetch_add(local_coll, std::memory_order_relaxed);
     res_collided.fetch_add(local_res, std::memory_order_relaxed);
   };
-  if (pool_->size() == 1 || n < cmdp::kSerialCutoff) {
-    run_cells(0, pair_cells);
-  } else if (shard_plan_.active() && shard_plan_.lanes == pool_->size()) {
-    // Cell-block shards: each lane walks the contiguous cell blocks the
-    // cost partitioner assigned to it.  Per-cell work is disjoint and every
-    // RNG stream is keyed by particle index and step, so the assignment
-    // (and any repartition) is bit-identical to the static split below.
-    cmdp::parallel_shards(*pool_, shard_plan_,
-                          [&](std::uint32_t cbegin, std::uint32_t cend,
-                              unsigned) { run_cells(cbegin, cend); });
-  } else {
-    // Static fallback (shard.enable=0): particle-balanced cell partition —
-    // lane t owns the cells whose first particle lies in its equal share of
-    // [0, n).
-    const unsigned lanes = pool_->size();
-    pool_->parallel([&](unsigned tid) {
-      const cmdp::Range pr = cmdp::lane_range(n, tid, lanes);
-      const auto lo = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.begin));
-      const auto hi = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.end));
-      run_cells(static_cast<std::size_t>(lo - starts_.begin()),
-                static_cast<std::size_t>(hi - starts_.begin()));
-    });
-  }
+  for_each_cell_block(run_cells);
   counters_.candidates += candidates.load();
   counters_.collisions += collided.load();
   counters_.reservoir_collisions += res_collided.load();
@@ -1405,16 +1418,13 @@ void Simulation<Real>::phase_select_and_collide() {
 
 template <class Real>
 void Simulation<Real>::phase_sample() {
-  // Sharded runs accumulate per cell over the sorted runs (bit-identical
-  // for every lane count); shard.enable=0 keeps the historical lane-major
-  // reduction, whose summation order is pinned to the lane count.
-  if (cfg_.shard_enable)
-    sampler_.accumulate_sorted(
-        *pool_, store_, counts_.data(), starts_.data(), shard_plan_,
-        cfg_.axisymmetric ? store_.weight.data() : nullptr);
-  else
-    sampler_.accumulate(*pool_, store_, flow_count(),
-                        cfg_.axisymmetric ? store_.weight.data() : nullptr);
+  const double* const weights =
+      cfg_.axisymmetric ? store_.weight.data() : nullptr;
+  for_each_cell_block([&](std::size_t cbegin, std::size_t cend) {
+    sampler_.add_cells(store_, counts_.data(), starts_.data(), cbegin, cend,
+                       weights);
+  });
+  sampler_.count_sample();
 }
 
 template <class Real>
@@ -1518,19 +1528,6 @@ double Simulation<Real>::total_energy() const {
       e += 0.5 * (q0 * q0 + q1 * q1);
     }
     return e;
-  });
-}
-
-template <class Real>
-double Simulation<Real>::flow_energy() const {
-  return cmdp::parallel_sum<double>(*pool_, store_.size(), [&](std::size_t i) {
-    if (store_.flags[i] & ParticleStore<Real>::kReservoirFlag) return 0.0;
-    const double vx = N::to_double(store_.ux[i]);
-    const double vy = N::to_double(store_.uy[i]);
-    const double vz = N::to_double(store_.uz[i]);
-    const double w0 = N::to_double(store_.r0[i]);
-    const double w1 = N::to_double(store_.r1[i]);
-    return 0.5 * (vx * vx + vy * vy + vz * vz + w0 * w0 + w1 * w1);
   });
 }
 

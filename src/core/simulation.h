@@ -180,8 +180,6 @@ class Simulation {
   double total_energy() const;
   // Total momentum per unit mass.
   std::array<double, 3> total_momentum() const;
-  // Same restricted to flow particles.
-  double flow_energy() const;
   // Weighted moments of the flow (axisymmetric runs; weights are 1 in
   // planar runs): sum of w, w*v and w*(0.5 |v|^2 + e_int) over flow
   // particles — the quantities the weight-balancing pass conserves exactly.
@@ -253,6 +251,15 @@ class Simulation {
   // (or the plan is stale), and adapts the collide-weight blend from the
   // aggregate phase timers.  Called at the end of phase_sort.
   void update_shards();
+  // The one cell-walk dispatch of every per-cell phase: calls
+  // run_cells(cbegin, cend) over disjoint ranges that together cover every
+  // non-empty pairing cell of [0, ncells + res_cells) — serially on one
+  // lane or a small store, per shard under the cost plan, else over the
+  // static particle-balanced split.  Per-cell work is disjoint and every
+  // RNG stream is keyed by particle index and step, so the split never
+  // changes a bit.
+  template <class Fn>
+  void for_each_cell_block(Fn&& run_cells);
   // One fused traversal: candidate pairing + acceptance + collision.  Pairs
   // are disjoint, so fusing is bit-identical to the historical two-pass
   // select-then-collide while skipping the accept-flag round trip.
@@ -346,7 +353,7 @@ class Simulation {
   // the assignment carries no physics).
   cmdp::ShardPlan shard_plan_;
   std::vector<double> shard_cost_;  // per pairing cell, refreshed per step
-  double shard_collide_weight_ = 1.0;
+  double shard_collide_weight_ = 0.0;  // cost blend; the ctor seeds it
   std::uint64_t shard_repartitions_ = 0;
   double shard_cost_imbalance_ = 0.0;
   double shard_post_imbalance_ = 0.0;

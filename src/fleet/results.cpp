@@ -10,29 +10,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "io/json.h"
+
 namespace cmdsmc::fleet {
 
 namespace {
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
+using io::json_escape;
 
 void append_string_field(std::string& out, const char* key,
                          const std::string& value, bool comma = true) {

@@ -10,20 +10,13 @@
 #include <thread>
 #include <unordered_set>
 
+#include "io/json.h"
+
 namespace cmdsmc::fleet {
 
 namespace {
 
-void json_escape(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-      continue;
-    }
-    out += c;
-  }
-}
+using io::json_escape;
 
 std::string reject_line(const std::string& request, const std::string& error) {
   std::string out = "{\"event\": \"reject\", \"request\": \"";

@@ -13,6 +13,7 @@
 #include "core/steady.h"
 #include "geom/wedge.h"
 #include "io/contour.h"
+#include "io/json.h"
 #include "obs/telemetry.h"
 #include "io/csv.h"
 #include "io/shock_analysis.h"
@@ -57,10 +58,9 @@ std::optional<geom::Wedge> simulated_wedge(const core::SimConfig& cfg) {
 }
 
 void json_escape(std::ostream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
+  std::string out;
+  io::json_escape(out, s);
+  os << out;
 }
 
 }  // namespace
@@ -432,7 +432,7 @@ RunResult Runner::run_impl(cmdp::ThreadPool* pool) {
       const bool count_ok =
           count_det.push(static_cast<double>(sim.flow_count()));
       // The energy sum is O(N); sample it every 10 steps.
-      if (steps % 10 == 0) energy_det.push(sim.flow_energy());
+      if (steps % 10 == 0) energy_det.push(sim.flow_weighted_energy());
       if (count_ok && energy_det.steady()) {
         result.steady_detected = true;
         break;

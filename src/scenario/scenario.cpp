@@ -287,16 +287,6 @@ const std::vector<OverrideEntry>& override_table() {
       // --- Cell-block sharding / load balancing ---
       {"shard.enable", "cell-block shard load balancing (default 1)",
        set_bool(&core::SimConfig::shard_enable)},
-      {"shard.per_lane", "shards per lane (shards = lanes * this)",
-       set_int(&core::SimConfig::shard_per_lane)},
-      {"shard.threshold", "predicted max/mean imbalance repartition trigger",
-       set_double(&core::SimConfig::shard_rebalance_threshold)},
-      {"shard.interval", "min steps between repartitions",
-       set_int(&core::SimConfig::shard_rebalance_interval)},
-      {"shard.collide_weight", "initial pair-vs-particle cost blend",
-       set_double(&core::SimConfig::shard_collide_weight)},
-      {"shard.adapt", "adapt the cost blend from the phase timers",
-       set_bool(&core::SimConfig::shard_adapt)},
       {"seed", "RNG seed (decimal or 0x hex)",
        [](ScenarioSpec& s, const std::string& k, const std::string& v) {
          s.config.seed = cli::parse_uint64(k, v);

@@ -82,9 +82,17 @@ TEST(CliArgs, ErrorJsonIsOneEscapedLine) {
   EXPECT_NE(json.find("\"error\""), std::string::npos);
   EXPECT_NE(json.find("\"type\": \"usage\""), std::string::npos);
   EXPECT_NE(json.find("unknown key"), std::string::npos);
-  // Quotes and backslashes are escaped, newlines mapped to spaces.
+  // Quotes and backslashes are escaped, newlines become \n escapes.
+  EXPECT_NE(json.find("'mcah'\\nvalid keys"), std::string::npos);
   const std::string tricky = cli::error_json("runtime", "a \"b\" c:\\d");
   EXPECT_NE(tricky.find("a \\\"b\\\" c:\\\\d"), std::string::npos);
+  // Every other control byte is a \u00XX escape: no raw byte below 0x20
+  // survives, so the line stays valid JSON (e.g. a key typed with \x01).
+  const std::string ctrl =
+      cli::error_json("usage", "unknown key 'bad\x01key'\ttab\rcr");
+  for (char c : ctrl)
+    EXPECT_GE(static_cast<unsigned>(static_cast<unsigned char>(c)), 0x20u);
+  EXPECT_NE(ctrl.find("'bad\\u0001key'\\ttab\\rcr"), std::string::npos);
 }
 
 TEST(CliArgs, ErrorClassificationDrivesExitCodes) {

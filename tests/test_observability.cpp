@@ -234,9 +234,8 @@ TEST(StepStats, ShardMetricsReportPlanAndImbalancePair) {
   sim.set_step_observer(nullptr);
 
   const auto& last = rec.steps.back();
-  // Default knobs: shard_per_lane shards per lane, first sort builds a plan.
-  EXPECT_EQ(last.shards, 4u * static_cast<unsigned>(
-                                  core::SimConfig{}.shard_per_lane));
+  // The partitioner cuts 4 shards per lane; the first sort builds a plan.
+  EXPECT_EQ(last.shards, 4u * 4u);
   EXPECT_GE(last.repartitions, 1u);
   // The pair: current predicted imbalance (drifts between repartitions) and
   // the value right after the last repartition (the achievable floor).

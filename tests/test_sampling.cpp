@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "rng/rng.h"
 #include "rng/samplers.h"
@@ -38,20 +40,67 @@ core::ParticleStore<double> uniform_gas(const geom::Grid& grid, double ppc,
   return s;
 }
 
+// Per-cell tables of a cell-sorted store, as the step's counting sort
+// leaves them: cell c's particles occupy [starts[c], starts[c] + counts[c]).
+struct CellRuns {
+  std::vector<std::uint32_t> counts, starts;
+};
+
+// Stably sorts `s` by cell (as the step's sort does) and returns its runs
+// over `pair_cells` pairing cells.
+CellRuns sort_by_cell(core::ParticleStore<double>& s,
+                      std::uint32_t pair_cells) {
+  std::vector<std::uint32_t> order(s.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return s.cell[a] < s.cell[b];
+                   });
+  cmdp::ThreadPool pool(1);
+  core::ParticleStore<double> scratch;
+  s.reorder(pool, order, scratch);
+  CellRuns runs{std::vector<std::uint32_t>(pair_cells, 0), {}};
+  for (std::uint32_t c : s.cell) ++runs.counts[c];
+  runs.starts.resize(pair_cells);
+  std::exclusive_scan(runs.counts.begin(), runs.counts.end(),
+                      runs.starts.begin(), 0u);
+  return runs;
+}
+
+// One sample step: sorts the store, adds every pairing cell in one range and
+// counts the sample.
+void sample(core::FieldSampler<double>& sampler,
+            core::ParticleStore<double>& s, std::uint32_t pair_cells) {
+  const CellRuns runs = sort_by_cell(s, pair_cells);
+  sampler.add_cells(s, runs.counts.data(), runs.starts.data(), 0, pair_cells);
+  sampler.count_sample();
+}
+
 }  // namespace
 
 TEST(FieldSampler, UniformGasGivesUnitDensityAndTemperature) {
-  cmdp::ThreadPool pool(4);
   geom::Grid grid{16, 16, 0};
+  const std::uint32_t ncells = static_cast<std::uint32_t>(grid.ncells());
   const double ppc = 50.0;
   const double sigma = 0.2;
   const double drift = 0.7;
   core::FieldSampler<double> sampler(
       grid, std::vector<double>(grid.ncells(), 1.0), ppc, sigma);
+  // The same samples added as disjoint cell blocks in a scrambled order (as
+  // lanes under any partition would) must give the same bits.
+  core::FieldSampler<double> split(
+      grid, std::vector<double>(grid.ncells(), 1.0), ppc, sigma);
   for (int rep = 0; rep < 20; ++rep) {
     auto s = uniform_gas(grid, ppc, sigma, drift, 100 + rep);
-    sampler.accumulate(pool, s, s.size());
+    const CellRuns runs = sort_by_cell(s, ncells);
+    sampler.add_cells(s, runs.counts.data(), runs.starts.data(), 0, ncells);
+    sampler.count_sample();
+    for (const auto& [b, e] : {std::pair{200u, ncells}, std::pair{0u, 37u},
+                               std::pair{37u, 37u}, std::pair{37u, 200u}})
+      split.add_cells(s, runs.counts.data(), runs.starts.data(), b, e);
+    split.count_sample();
   }
+  EXPECT_EQ(split.accumulated(), sampler.accumulated());
   const auto f = sampler.finalize();
   EXPECT_EQ(f.samples, 20);
   double min_rho = 1e9, max_rho = 0.0, mean_t = 0.0, mean_ux = 0.0;
@@ -70,7 +119,6 @@ TEST(FieldSampler, UniformGasGivesUnitDensityAndTemperature) {
 }
 
 TEST(FieldSampler, TranslationalAndRotationalTemperaturesSeparate) {
-  cmdp::ThreadPool pool(2);
   geom::Grid grid{8, 8, 0};
   const double ppc = 200.0;
   const double sigma = 0.2;
@@ -83,7 +131,7 @@ TEST(FieldSampler, TranslationalAndRotationalTemperaturesSeparate) {
     s.r0[i] = 2.0 * sigma * cmdsmc::rng::sample_gaussian(g);
     s.r1[i] = 2.0 * sigma * cmdsmc::rng::sample_gaussian(g);
   }
-  sampler.accumulate(pool, s, s.size());
+  sample(sampler, s, static_cast<std::uint32_t>(grid.ncells()));
   const auto f = sampler.finalize();
   double t_trans = 0.0, t_rot = 0.0;
   for (std::size_t c = 0; c < f.density.size(); ++c) {
@@ -103,7 +151,6 @@ TEST(FieldSampler, TranslationalAndRotationalTemperaturesSeparate) {
 }
 
 TEST(FieldSampler, OpenFractionNormalizesCutCells) {
-  cmdp::ThreadPool pool(1);
   geom::Grid grid{4, 1, 0};
   // Cell 2 is half solid: same raw count should read double density without
   // normalization; with open fraction 0.5 it reads the true density.
@@ -124,32 +171,30 @@ TEST(FieldSampler, OpenFractionNormalizesCutCells) {
   fill_cell(1, 1000);
   fill_cell(2, 500);
   fill_cell(3, 1000);
-  sampler.accumulate(pool, s, s.size());
+  sample(sampler, s, 4);
   const auto f = sampler.finalize();
   for (int c = 0; c < 4; ++c)
     EXPECT_NEAR(f.density[static_cast<std::size_t>(c)], 1.0, 1e-9) << c;
 }
 
 TEST(FieldSampler, FullySolidCellReportsZeroDensity) {
-  cmdp::ThreadPool pool(1);
   geom::Grid grid{2, 1, 0};
   std::vector<double> open = {1.0, 0.0};
   core::FieldSampler<double> sampler(grid, open, 10.0, 0.2);
   core::ParticleStore<double> s;
   s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm());
   s.cell.back() = 0;
-  sampler.accumulate(pool, s, s.size());
+  sample(sampler, s, 2);
   const auto f = sampler.finalize();
   EXPECT_EQ(f.density[1], 0.0);
 }
 
 TEST(FieldSampler, ResetClearsAccumulation) {
-  cmdp::ThreadPool pool(1);
   geom::Grid grid{4, 4, 0};
   core::FieldSampler<double> sampler(
       grid, std::vector<double>(grid.ncells(), 1.0), 10.0, 0.2);
   auto s = uniform_gas(grid, 10.0, 0.2, 0.0, 9);
-  sampler.accumulate(pool, s, s.size());
+  sample(sampler, s, static_cast<std::uint32_t>(grid.ncells()));
   EXPECT_EQ(sampler.samples(), 1);
   sampler.reset();
   EXPECT_EQ(sampler.samples(), 0);
@@ -158,17 +203,19 @@ TEST(FieldSampler, ResetClearsAccumulation) {
 }
 
 TEST(FieldSampler, IgnoresReservoirTail) {
-  cmdp::ThreadPool pool(1);
   geom::Grid grid{2, 2, 0};
   core::FieldSampler<double> sampler(
       grid, std::vector<double>(grid.ncells(), 1.0), 1.0, 0.2);
   core::ParticleStore<double> s;
   s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm());
   s.cell.back() = 0;
-  // Tail particle beyond n_flow must not be counted.
+  // A reservoir particle sorts into the first pseudo-cell past the grid;
+  // adding the whole pairing range must clamp at the grid and skip it.
   s.push_back(0.5, 0.5, 0, 0, 0, 0, 0, 0, cmdsmc::rng::identity_perm(), 1);
-  s.cell.back() = 0;
-  sampler.accumulate(pool, s, 1);
+  s.cell.back() = static_cast<std::uint32_t>(grid.ncells());
+  sample(sampler, s, static_cast<std::uint32_t>(grid.ncells()) + 1);
   const auto f = sampler.finalize();
   EXPECT_NEAR(f.mean_count[0], 1.0, 1e-12);
+  for (std::size_t c = 1; c < f.mean_count.size(); ++c)
+    EXPECT_EQ(f.mean_count[c], 0.0) << c;
 }

@@ -202,3 +202,21 @@ TEST(ClosedBox, DirtyRngModeRunsAndConserves) {
   sim.run(100);
   EXPECT_NEAR(sim.total_energy() / e0, 1.0, 5e-3);
 }
+
+// The steady detector's flow energy is flow_weighted_energy(): with no
+// reservoir and unit weights it must be the whole-store total_energy(),
+// vibrational term included, bit for bit.
+TEST(ClosedBox, FlowWeightedEnergyIncludesVibration) {
+  cmdp::ThreadPool pool(2);
+  auto cfg = box_config();
+  cfg.vibrational = true;
+  core::SimulationD sim(cfg, &pool);
+  sim.run(10);
+  ASSERT_EQ(sim.reservoir_count(), 0u);
+  const auto& s = sim.particles();
+  double e_vib = 0.0;
+  for (std::size_t i = 0; i < s.size(); ++i)
+    e_vib += 0.5 * (s.v0[i] * s.v0[i] + s.v1[i] * s.v1[i]);
+  ASSERT_GT(e_vib, 0.0);
+  EXPECT_EQ(sim.flow_weighted_energy(), sim.total_energy());
+}
