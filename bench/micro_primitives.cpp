@@ -1,6 +1,6 @@
 // Microbenchmarks of the substrate primitives the paper's phase breakdown
-// is built from: rank sort, scans, histogram, gather, the collision kernel
-// (double and fixed point), selection, and the RNG.
+// is built from: the counting sort, scans, the collision kernel (double and
+// fixed point), selection, and the RNG.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -90,43 +90,6 @@ void BM_SortPlanScatter(benchmark::State& state) {
 }
 BENCHMARK(BM_SortPlanScatter)->Arg(1 << 19);
 
-// The historical shape of the same job: sort to a permutation, then gather
-// every array through it.  Kept as the baseline the fused scatter replaced.
-void BM_SortOrderThenGather(benchmark::State& state) {
-  auto& pool = cmdp::ThreadPool::global();
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t bound = 98 * 64 * 8;
-  const auto keys = random_keys(n, bound);
-  std::vector<std::uint32_t> order(n);
-  constexpr int kArrays = 8;
-  std::vector<double> src[kArrays], dst[kArrays];
-  for (int a = 0; a < kArrays; ++a) {
-    src[a].assign(n, 1.0);
-    dst[a].assign(n, 0.0);
-  }
-  for (auto _ : state) {
-    cmdp::counting_sort_index(pool, keys, bound, order);
-    for (int a = 0; a < kArrays; ++a)
-      cmdp::gather<double>(pool, src[a], order, dst[a]);
-    benchmark::DoNotOptimize(dst[0].data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SortOrderThenGather)->Arg(1 << 19);
-
-void BM_RadixSort32(benchmark::State& state) {
-  auto& pool = cmdp::ThreadPool::global();
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto keys = random_keys(n, 0xffffffffu);
-  std::vector<std::uint32_t> order(n);
-  for (auto _ : state) {
-    cmdp::stable_sort_index(pool, keys, 0xffffffffu, order);
-    benchmark::DoNotOptimize(order.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RadixSort32)->Arg(1 << 19);
-
 void BM_InclusiveScan(benchmark::State& state) {
   auto& pool = cmdp::ThreadPool::global();
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -156,50 +119,6 @@ void BM_SegmentedScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SegmentedScan)->Arg(1 << 20);
-
-void BM_Histogram(benchmark::State& state) {
-  auto& pool = cmdp::ThreadPool::global();
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t bound = 98 * 64;
-  const auto keys = random_keys(n, bound);
-  std::vector<std::uint32_t> counts(bound);
-  for (auto _ : state) {
-    cmdp::histogram(pool, keys, bound, counts);
-    benchmark::DoNotOptimize(counts.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Histogram)->Arg(1 << 19);
-
-void BM_HistogramColdArena(benchmark::State& state) {
-  auto& pool = cmdp::ThreadPool::global();
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t bound = 98 * 64;
-  const auto keys = random_keys(n, bound);
-  std::vector<std::uint32_t> counts(bound);
-  for (auto _ : state) {
-    pool.workspace().release();
-    cmdp::histogram(pool, keys, bound, counts);
-    benchmark::DoNotOptimize(counts.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_HistogramColdArena)->Arg(1 << 19);
-
-void BM_Gather(benchmark::State& state) {
-  auto& pool = cmdp::ThreadPool::global();
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto keys = random_keys(n, static_cast<std::uint32_t>(n));
-  std::vector<std::uint32_t> order(n);
-  cmdp::counting_sort_index(pool, keys, static_cast<std::uint32_t>(n), order);
-  std::vector<double> in(n, 1.0), out(n);
-  for (auto _ : state) {
-    cmdp::gather<double>(pool, in, order, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Gather)->Arg(1 << 20);
 
 template <class Real>
 void BM_CollisionKernel(benchmark::State& state) {

@@ -4,12 +4,31 @@
 #include <cmath>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "physics/collision.h"
 #include "rng/rng.h"
 
 namespace cmdsmc::baseline {
+
+void sort_by_cell(cmdp::ThreadPool& pool, std::span<const std::uint32_t> cell,
+                  std::uint32_t ncells, std::vector<std::uint32_t>& order,
+                  std::vector<std::uint32_t>& counts,
+                  std::vector<std::uint32_t>& starts) {
+  order.resize(cell.size());
+  counts.resize(ncells);
+  starts.resize(ncells);
+  const cmdp::SortPlan plan = cmdp::counting_sort_plan(pool, cell, ncells);
+  // Read the starts before the apply consumes a single-lane plan's cursors.
+  const std::uint32_t* ks = plan.key_starts.data();
+  cmdp::parallel_for(pool, ncells, [&](std::size_t c) {
+    starts[c] = ks[c];
+    counts[c] = ks[c + 1] - ks[c];
+  });
+  cmdp::apply_sort_plan(pool, cell, plan,
+                        [&](std::size_t src, std::size_t dst) {
+                          order[dst] = static_cast<std::uint32_t>(src);
+                        });
+}
 
 BirdTimeCounter::BirdTimeCounter(const geom::Grid& grid,
                                  const BaselineConfig& cfg)
@@ -19,16 +38,8 @@ BirdTimeCounter::BirdTimeCounter(const geom::Grid& grid,
 
 void BirdTimeCounter::collision_step(cmdp::ThreadPool& pool,
                                      core::ParticleStore<double>& store) {
-  const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
-  order_.resize(n);
-  counts_.resize(ncells);
-  starts_.resize(ncells);
-  cmdp::counting_sort_index(pool, store.cell, ncells, order_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  sort_by_cell(pool, store.cell, ncells, order_, counts_, starts_);
 
   const double t_end = static_cast<double>(step_ + 1);
   std::atomic<std::uint64_t> coll{0};

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cmdp/thread_pool.h"
@@ -29,6 +30,14 @@ struct BaselineConfig {
   double n_inf = 16.0;  // freestream particles per cell
   std::uint64_t seed = 1;
 };
+
+// Index sort by cell for the Bird and Nanbu schemes, from one counting-sort
+// plan: cell c's particles are order[starts[c] .. starts[c] + counts[c]), in
+// array order.
+void sort_by_cell(cmdp::ThreadPool& pool, std::span<const std::uint32_t> cell,
+                  std::uint32_t ncells, std::vector<std::uint32_t>& order,
+                  std::vector<std::uint32_t>& counts,
+                  std::vector<std::uint32_t>& starts);
 
 class BirdTimeCounter {
  public:

@@ -3,8 +3,6 @@
 #include <atomic>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
-#include "cmdp/sort.h"
 #include "physics/collision.h"
 #include "rng/rng.h"
 
@@ -17,14 +15,7 @@ void NanbuScheme::collision_step(cmdp::ThreadPool& pool,
                                  core::ParticleStore<double>& store) {
   const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
-  order_.resize(n);
-  counts_.resize(ncells);
-  starts_.resize(ncells);
-  cmdp::counting_sort_index(pool, store.cell, ncells, order_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  sort_by_cell(pool, store.cell, ncells, order_, counts_, starts_);
 
   for (auto& v : new_v_) v.resize(n);
   hit_.resize(n);

@@ -41,7 +41,6 @@ class NanbuScheme {
   std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> starts_;
-  std::vector<std::uint32_t> rank_;  // particle -> rank within its cell
   std::vector<double> new_v_[5];
   std::vector<std::uint8_t> hit_;
 };

@@ -3,17 +3,15 @@
 #include <atomic>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
+#include "core/config.h"
 #include "physics/collision.h"
 #include "rng/permutation.h"
 #include "rng/rng.h"
 
 namespace cmdsmc::baseline {
 
-namespace {
-constexpr std::uint32_t kSortScale = 8;
-}
+using core::kSortScale;
 
 PairwiseScheme::PairwiseScheme(const geom::Grid& grid,
                                const BaselineConfig& cfg)
@@ -24,7 +22,6 @@ void PairwiseScheme::collision_step(cmdp::ThreadPool& pool,
   const std::size_t n = store.size();
   const auto ncells = static_cast<std::uint32_t>(grid_.ncells());
   keys_.resize(n);
-  order_.resize(n);
   counts_.resize(ncells);
   starts_.resize(ncells);
   cmdp::parallel_for(pool, n, [&](std::size_t i) {
@@ -33,12 +30,16 @@ void PairwiseScheme::collision_step(cmdp::ThreadPool& pool,
         kSortScale);
     keys_[i] = store.cell[i] * kSortScale + r;
   });
-  cmdp::stable_sort_index(pool, keys_, ncells * kSortScale, order_);
-  store.reorder(pool, order_, scratch_);
-  cmdp::histogram(pool, store.cell, ncells, counts_);
-  cmdp::exclusive_scan<std::uint32_t>(
-      pool, counts_, starts_,
-      [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(pool, keys_, ncells * kSortScale);
+  // Cell c's keys fill [c*kSortScale, (c+1)*kSortScale): its run drops out
+  // of the key-starts table (read before the scatter consumes the plan).
+  const std::uint32_t* ks = plan.key_starts.data();
+  cmdp::parallel_for(pool, ncells, [&](std::size_t c) {
+    starts_[c] = ks[c * kSortScale];
+    counts_[c] = ks[(c + 1) * kSortScale] - starts_[c];
+  });
+  store.scatter_sorted(pool, keys_, plan, scratch_);
 
   std::atomic<std::uint64_t> coll{0};
   cmdp::parallel_chunks(pool, n, [&](cmdp::Range r, unsigned) {

@@ -32,7 +32,6 @@ class PairwiseScheme {
   std::uint64_t collisions_ = 0;
   core::ParticleStore<double> scratch_;
   std::vector<std::uint32_t> keys_;
-  std::vector<std::uint32_t> order_;
   std::vector<std::uint32_t> counts_;
   std::vector<std::uint32_t> starts_;
 };

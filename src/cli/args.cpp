@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -82,6 +83,9 @@ double parse_double(const std::string& key, const std::string& value) {
     throw ArgError(key + ": '" + value + "' is not a number");
   if (errno == ERANGE)
     throw ArgError(key + ": '" + value + "' is out of range");
+  // strtod accepts "nan" and "inf"; no option takes a non-finite value.
+  if (!std::isfinite(v))
+    throw ArgError(key + ": '" + value + "' is not a finite number");
   return v;
 }
 

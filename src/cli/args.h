@@ -36,6 +36,7 @@ std::vector<KeyValue> parse_key_values(int argc, char** argv, int start);
 // in the error message only.
 int parse_int(const std::string& key, const std::string& value);
 std::uint64_t parse_uint64(const std::string& key, const std::string& value);
+// Finite values only: nan and inf are ArgErrors.
 double parse_double(const std::string& key, const std::string& value);
 // Accepts 0/1, true/false, on/off, yes/no (case-insensitive).
 bool parse_bool(const std::string& key, const std::string& value);

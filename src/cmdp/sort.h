@@ -1,14 +1,14 @@
-// Stable key sorts producing a gather permutation, plus histogram and gather
-// helpers.  This is the substrate for the paper's per-step "sort particles by
-// (randomized) cell index" — the CM-2 rank-sort.
+// The one stable key sort: the substrate for the paper's per-step "sort
+// particles by (randomized) cell index" — the CM-2 rank-sort.
 //
-// The hot path is the plan/apply pair: counting_sort_plan counts the keys
-// once and lays out the stable scatter (also exposing the per-key starts
-// table, which phase_select folds into per-cell tables for free), and
-// apply_sort_plan moves every record straight to its sorted position in one
-// pass — no intermediate permutation array, no per-field gather passes.
-// All scratch lives in the pool's Workspace, so steady-state sorting is
-// allocation-free.
+// counting_sort_plan counts the keys once and lays out the stable scatter
+// (also exposing the per-key starts table, which phase_sort folds into
+// per-cell tables for free), and apply_sort_plan moves every record straight
+// to its sorted position in one pass — no intermediate permutation array, no
+// per-field gather passes.  Every key space goes through it: the tables cost
+// O(lanes * key_bound) words, which for the simulation's keys (8 per pairing
+// cell) is the order of the per-cell arrays a run already holds.  All scratch
+// lives in the pool's Workspace, so steady-state sorting is allocation-free.
 #pragma once
 
 #include <cstddef>
@@ -21,19 +21,9 @@
 
 namespace cmdsmc::cmdp {
 
-// counts[k] = number of occurrences of key k; keys must be < key_bound.
-void histogram(ThreadPool& pool, std::span<const std::uint32_t> keys,
-               std::uint32_t key_bound, std::span<std::uint32_t> counts);
-
-// Largest key bound the single-pass counting sort accepts (the per-lane
-// count tables stay cache-friendly below this); stable_sort_index switches
-// to the two-pass radix above it.
-inline constexpr std::uint32_t kDirectSortBound = 1u << 21;
-
-// A prepared stable counting sort over keys < key_bound <= kDirectSortBound.
-// Spans borrow the pool's Workspace: a plan is invalidated by the next
-// counting_sort_plan / counting_sort_index / stable_sort_index call on the
-// same pool.
+// A prepared stable counting sort over keys < key_bound.  Spans borrow the
+// pool's Workspace: a plan is invalidated by the next counting_sort_plan /
+// counting_sort_index call on the same pool.
 struct SortPlan {
   std::size_t n = 0;
   std::uint32_t key_bound = 0;
@@ -83,28 +73,6 @@ void apply_sort_plan(ThreadPool& pool, std::span<const std::uint32_t> keys,
 void counting_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
                          std::uint32_t key_bound,
                          std::span<std::uint32_t> order);
-
-// Stable sort for arbitrary 32-bit keys: radix over 16-bit digits built on
-// counting_sort_index.  Chooses single-pass counting sort when key_bound is
-// small enough.
-void stable_sort_index(ThreadPool& pool, std::span<const std::uint32_t> keys,
-                       std::uint32_t key_bound, std::span<std::uint32_t> order);
-
-// out[i] = in[order[i]] — the gather that applies a sort permutation.
-template <class T>
-void gather(ThreadPool& pool, std::span<const T> in,
-            std::span<const std::uint32_t> order, std::span<T> out) {
-  parallel_for(pool, order.size(),
-               [&](std::size_t i) { out[i] = in[order[i]]; });
-}
-
-// out[order[i]] = in[i] — the inverse scatter.
-template <class T>
-void scatter(ThreadPool& pool, std::span<const T> in,
-             std::span<const std::uint32_t> order, std::span<T> out) {
-  parallel_for(pool, order.size(),
-               [&](std::size_t i) { out[order[i]] = in[i]; });
-}
 
 // Verifies `order` is a permutation of [0, n) — used by tests and debug mode.
 bool is_permutation_of_iota(std::span<const std::uint32_t> order);

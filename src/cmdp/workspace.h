@@ -1,8 +1,7 @@
-// Reusable scratch for the allocation-heavy cmdp primitives.
+// Reusable scratch for the cmdp counting sort.
 //
-// The per-step hot loop sorts every step (the counting-sort plan, or the
-// radix passes plus a histogram for huge key spaces); before this arena each
-// call heap-allocated (and freed) its lane tables and radix passes.  One
+// The per-step hot loop sorts every step through the counting-sort plan;
+// before this arena each call heap-allocated (and freed) its lane tables.  One
 // Workspace lives on each ThreadPool: a pool is not reentrant, so primitives
 // running on the same pool never overlap and can share these buffers.
 // Buffers only grow (resize keeps capacity across steps); release() returns
@@ -20,20 +19,11 @@ struct Workspace {
   // per-lane scatter cursors (lanes x key_bound).
   std::vector<std::uint32_t> sort_starts;
   std::vector<std::uint32_t> sort_cursors;
-  // histogram: per-lane counts (lanes x key_bound).
-  std::vector<std::uint32_t> hist_lanes;
-  // stable_sort_index radix passes (the four n-sized arrays).
-  std::vector<std::uint32_t> radix_low;
-  std::vector<std::uint32_t> radix_order1;
-  std::vector<std::uint32_t> radix_high;
-  std::vector<std::uint32_t> radix_order2;
 
   // Bytes currently held across all buffers (telemetry's arena gauge).
   std::size_t bytes() const {
     std::size_t total = 0;
-    for (const auto* v :
-         {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
-          &radix_high, &radix_order2}) {
+    for (const auto* v : {&sort_starts, &sort_cursors}) {
       total += v->capacity() * sizeof(std::uint32_t);
     }
     return total;
@@ -41,9 +31,7 @@ struct Workspace {
 
   // Frees every buffer (benchmarks use this to measure the cold-arena cost).
   void release() {
-    for (auto* v :
-         {&sort_starts, &sort_cursors, &hist_lanes, &radix_low, &radix_order1,
-          &radix_high, &radix_order2}) {
+    for (auto* v : {&sort_starts, &sort_cursors}) {
       v->clear();
       v->shrink_to_fit();
     }

@@ -5,6 +5,7 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace cmdsmc::core {
 
@@ -42,11 +43,26 @@ void write_vec(std::ostream& os, const std::vector<T>& v) {
            static_cast<std::streamsize>(n * sizeof(T)));
 }
 
+// Bytes from the read position to the end of the stream.
+std::uint64_t bytes_left(std::istream& is) {
+  const std::istream::pos_type here = is.tellg();
+  is.seekg(0, std::ios::end);
+  const std::istream::pos_type end = is.tellg();
+  is.seekg(here);
+  if (!is || here < 0 || end < here)
+    throw std::runtime_error("checkpoint: unseekable stream");
+  return static_cast<std::uint64_t>(end - here);
+}
+
 template <class T>
 void read_vec(std::istream& is, std::vector<T>& v) {
   std::uint64_t n = 0;
   is.read(reinterpret_cast<char*>(&n), sizeof(n));
   if (!is) throw std::runtime_error("checkpoint: truncated header");
+  // A corrupt length prefix must not drive the allocation.
+  if (n > bytes_left(is) / sizeof(T))
+    throw std::runtime_error("checkpoint: array length " + std::to_string(n) +
+                             " runs past the end of the file");
   v.resize(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(T)));
@@ -108,6 +124,16 @@ void read_store(std::istream& is, ParticleStore<Real>& s) {
   read_vec(is, s.cell);
   read_vec(is, s.flags);
   read_vec(is, s.id);
+  const std::size_t n = s.x.size();
+  const bool same_length =
+      s.y.size() == n && (!s.has_z || s.z.size() == n) && s.ux.size() == n &&
+      s.uy.size() == n && s.uz.size() == n && s.r0.size() == n &&
+      s.r1.size() == n &&
+      (!s.has_vib || (s.v0.size() == n && s.v1.size() == n)) &&
+      (!s.has_weight || s.weight.size() == n) && s.perm.size() == n &&
+      s.cell.size() == n && s.flags.size() == n && s.id.size() == n;
+  if (!same_length)
+    throw std::runtime_error("checkpoint: particle arrays differ in length");
 }
 
 }  // namespace

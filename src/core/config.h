@@ -1,5 +1,6 @@
 // Simulation configuration: the paper's wind-tunnel set-up plus every
-// algorithmic knob the ablation benches exercise.
+// algorithmic knob the ablation benches exercise.  validate() is written so
+// that a NaN in any checked field fails its range check.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,12 @@ enum class RngMode {
   kCounter,  // counter-based hash (reference quality)
   kDirty,    // low-order bits of the particle's fixed-point state (paper)
 };
+
+// The paper sorts by "the cell index ... scaled by some constant factor",
+// plus a random number below that factor, so cell c's sort keys fill
+// [c * kSortScale, (c + 1) * kSortScale).  A power of two: the random part
+// is a mask of the key bits.
+inline constexpr std::uint32_t kSortScale = 8;
 
 struct SimConfig {
   // --- Domain (cells; cell width 1). nz > 0 selects the 3D extension. ---
@@ -102,8 +109,7 @@ struct SimConfig {
   double wall_sigma = 0.18;  // diffuse-wall temperature (std dev)
 
   // --- Algorithm knobs (ablations) ---
-  int sort_scale = 8;          // cell key scale factor for sort randomization
-  bool randomize_sort = true;  // add rand < scale to the key before sorting
+  bool randomize_sort = true;  // add rand < kSortScale to the cell key
   int transpositions_per_collision = 1;
   Rounding rounding = Rounding::kStochastic;
   RngMode rng_mode = RngMode::kCounter;
@@ -136,7 +142,7 @@ struct SimConfig {
     return r * r;
   }
   void set_wall_temperature_ratio(double ratio) {
-    if (ratio < 0.0)
+    if (!(ratio >= 0.0))
       throw std::invalid_argument(
           "SimConfig: wall_temperature_ratio must be >= 0");
     wall_sigma = sigma * std::sqrt(ratio);
@@ -149,14 +155,15 @@ struct SimConfig {
   void validate() const {
     if (nx <= 0 || ny <= 0 || nz < 0)
       throw std::invalid_argument("SimConfig: bad grid dimensions");
-    if (mach <= 0.0) throw std::invalid_argument("SimConfig: mach must be > 0");
-    if (sigma <= 0.0)
+    if (!(mach > 0.0))
+      throw std::invalid_argument("SimConfig: mach must be > 0");
+    if (!(sigma > 0.0))
       throw std::invalid_argument("SimConfig: sigma must be > 0");
-    if (lambda_inf < 0.0)
+    if (!(lambda_inf >= 0.0))
       throw std::invalid_argument("SimConfig: lambda_inf must be >= 0");
-    if (particles_per_cell <= 0.0)
+    if (!(particles_per_cell > 0.0))
       throw std::invalid_argument("SimConfig: particles_per_cell must be > 0");
-    if (reservoir_fraction < 0.0)
+    if (!(reservoir_fraction >= 0.0))
       throw std::invalid_argument("SimConfig: reservoir_fraction must be >= 0");
     if (axisymmetric) {
       if (nz > 0)
@@ -168,8 +175,8 @@ struct SimConfig {
       // Axisymmetric bodies straddle the r = 0 axis (the part below it is
       // the revolved mirror image), so only the upper half must fit.
       const double ymin_floor = axisymmetric ? -static_cast<double>(ny) : 0.0;
-      if (b.xmin() < 0.0 || b.xmax() >= nx || b.ymin() < ymin_floor ||
-          b.ymax() >= ny)
+      if (!(b.xmin() >= 0.0 && b.xmax() < nx && b.ymin() >= ymin_floor &&
+            b.ymax() < ny))
         throw std::invalid_argument("SimConfig: body '" + b.name() +
                                     "' outside the domain");
       // A body floating wholly above the axis would revolve into a torus:
@@ -183,11 +190,9 @@ struct SimConfig {
     };
     for (const geom::Body& b : bodies) check_body(b);
     if (body) check_body(*body);
-    if (sort_scale < 1 || sort_scale > 256)
-      throw std::invalid_argument("SimConfig: sort_scale must be in [1,256]");
     {
       // Simulation::sort_key_bound() = (cells + reservoir pseudo-cells) *
-      // sort_scale (+1 reserved key when axisymmetric) is a 32-bit value, so
+      // kSortScale (+1 reserved key when axisymmetric) is a 32-bit value, so
       // bound it here in 64 bits before anything is allocated.  The
       // pseudo-cells follow init_particles (n_res / 64 + 1) with the whole
       // grid as open volume: bodies only remove volume, so this covers
@@ -205,30 +210,29 @@ struct SimConfig {
           std::floor(std::round(reservoir_fraction * n_flow) / 64.0) + 1.0;
       if (cells >= kKeyLimit || res_cells >= static_cast<double>(kKeyLimit) ||
           (cells + static_cast<std::uint64_t>(res_cells)) *
-                      static_cast<std::uint64_t>(sort_scale) +
+                      std::uint64_t{kSortScale} +
                   (axisymmetric ? 1u : 0u) >
               kKeyLimit - 1)
         throw std::invalid_argument(
-            "SimConfig: sort key space (cells + reservoir pseudo-cells) * "
-            "sort_scale exceeds 32 bits; lower sort_scale, the grid size or "
-            "particles_per_cell");
+            "SimConfig: sort key space (cells + reservoir pseudo-cells) * 8 "
+            "exceeds 32 bits; lower the grid size or particles_per_cell");
     }
     if (transpositions_per_collision < 0 || transpositions_per_collision > 4)
       throw std::invalid_argument(
           "SimConfig: transpositions_per_collision must be in [0, 4]");
-    if (plunger_trigger <= 0.0)
+    if (!(plunger_trigger > 0.0))
       throw std::invalid_argument("SimConfig: plunger_trigger must be > 0");
     if (vibrational &&
-        (vib_exchange_prob < 0.0 || vib_exchange_prob > 1.0))
+        !(vib_exchange_prob >= 0.0 && vib_exchange_prob <= 1.0))
       throw std::invalid_argument(
           "SimConfig: vib_exchange_prob must be in [0, 1]");
-    if (vibrational && vib_init_temperature < 0.0)
+    if (vibrational && !(vib_init_temperature >= 0.0))
       throw std::invalid_argument(
           "SimConfig: vib_init_temperature must be >= 0");
     gas.validate();
     // CFL-like sanity: the stream should not cross more than ~2 cells/step
     // or cell-based collision selection breaks down.
-    if (freestream_speed() > 2.0)
+    if (!(freestream_speed() <= 2.0))
       throw std::invalid_argument(
           "SimConfig: freestream speed exceeds 2 cells/step; lower sigma");
   }

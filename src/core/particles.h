@@ -140,11 +140,11 @@ struct ParticleStore {
     copy_record(size() - 1, src);
   }
 
-  // One-pass fused sort -> reorder: moves every record straight to its
-  // stable sorted position (scratch[dst] <- this[src]) using a prepared
-  // counting-sort plan, then swaps the buffers in.  One sequential read pass
-  // over all arrays instead of a permutation array plus one gather pass per
-  // array; the result is identical to reorder() with the plan's order.
+  // The store's one reorder: moves every record straight to its stable
+  // sorted position (scratch[dst] <- this[src]) using a prepared
+  // counting-sort plan over `keys`, then swaps the buffers in.  One
+  // sequential read pass over all arrays, with no permutation array and no
+  // per-array gather pass.
   void scatter_sorted(cmdp::ThreadPool& pool,
                       std::span<const std::uint32_t> keys,
                       const cmdp::SortPlan& plan, ParticleStore& scratch) {
@@ -205,44 +205,6 @@ struct ParticleStore {
           sid[dst] = pid[src];
         });
     swap_arrays(scratch);
-  }
-
-  // Applies a sort permutation: this[i] <- this[order[i]] for every array.
-  // `scratch` provides reusable buffers; contents are swapped in.
-  void reorder(cmdp::ThreadPool& pool, std::span<const std::uint32_t> order,
-               ParticleStore& scratch) {
-    scratch.has_z = has_z;
-    scratch.has_vib = has_vib;
-    scratch.has_weight = has_weight;
-    scratch.resize(size());
-    auto apply = [&](std::vector<Real>& a, std::vector<Real>& s) {
-      cmdp::gather<Real>(pool, a, order, s);
-      a.swap(s);
-    };
-    apply(x, scratch.x);
-    apply(y, scratch.y);
-    if (has_z) apply(z, scratch.z);
-    apply(ux, scratch.ux);
-    apply(uy, scratch.uy);
-    apply(uz, scratch.uz);
-    apply(r0, scratch.r0);
-    apply(r1, scratch.r1);
-    if (has_vib) {
-      apply(v0, scratch.v0);
-      apply(v1, scratch.v1);
-    }
-    if (has_weight) {
-      cmdp::gather<double>(pool, weight, order, scratch.weight);
-      weight.swap(scratch.weight);
-    }
-    cmdp::gather<rng::PackedPerm>(pool, perm, order, scratch.perm);
-    perm.swap(scratch.perm);
-    cmdp::gather<std::uint32_t>(pool, cell, order, scratch.cell);
-    cell.swap(scratch.cell);
-    cmdp::gather<std::uint8_t>(pool, flags, order, scratch.flags);
-    flags.swap(scratch.flags);
-    cmdp::gather<std::uint32_t>(pool, id, order, scratch.id);
-    id.swap(scratch.id);
   }
 
  private:

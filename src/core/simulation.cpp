@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "cmdp/parallel.h"
-#include "cmdp/scan.h"
 #include "cmdp/sort.h"
 #include "core/reservoir_policy.h"
 #include "physics/collision.h"
@@ -441,8 +440,8 @@ void Simulation<Real>::emit_step_stats() {
                    : 0.0;
   s.arena_bytes =
       pool_->workspace().bytes() +
-      sizeof(std::uint32_t) * (keys_.capacity() + order_.capacity() +
-                               counts_.capacity() + starts_.capacity());
+      sizeof(std::uint32_t) *
+          (keys_.capacity() + counts_.capacity() + starts_.capacity());
   // Timing deltas.
   const unsigned lanes = timers_.lanes();
   s.lanes = lanes;
@@ -479,11 +478,7 @@ void Simulation<Real>::run(int nsteps) {
 template <class Real>
 typename Simulation<Real>::KeyParams Simulation<Real>::key_params() const {
   KeyParams kp;
-  kp.scale = static_cast<std::uint32_t>(cfg_.sort_scale);
-  // The default scales are powers of two; the masked form avoids a 64-bit
-  // hardware division per particle per step (identical result).
-  kp.mask = (kp.scale & (kp.scale - 1)) == 0 ? kp.scale - 1 : 0;
-  kp.randomize = cfg_.randomize_sort && kp.scale > 1;
+  kp.randomize = cfg_.randomize_sort;
   kp.dirty = cfg_.rng_mode == RngMode::kDirty;
   kp.seed_round = seed_round_;
   kp.step = static_cast<std::uint64_t>(step_);
@@ -499,10 +494,9 @@ inline std::uint32_t Simulation<Real>::key_from(const KeyParams& kp,
     const std::uint64_t bits =
         kp.dirty ? dirty_state_bits(i)
                  : rng::hash4_seeded(kp.seed_round, i, kp.step, kSaltSortKey);
-    r = kp.mask != 0 ? static_cast<std::uint32_t>(bits & kp.mask)
-                     : static_cast<std::uint32_t>(bits % kp.scale);
+    r = static_cast<std::uint32_t>(bits & (kSortScale - 1));
   }
-  return cell * kp.scale + r;
+  return cell * kSortScale + r;
 }
 
 template <class Real>
@@ -872,43 +866,24 @@ void Simulation<Real>::phase_sort() {
   const std::size_t n = store_.size();
   // Keys were generated during the move (and fixed up by the injection
   // paths); the sort phase starts straight at the counting pass.
-  const auto scale = static_cast<std::uint32_t>(cfg_.sort_scale);
   const std::uint32_t pair_cells = ncells_ + res_cells_;
-  const std::uint32_t key_bound = sort_key_bound();
   counts_.resize(pair_cells);
   starts_.resize(pair_cells);
-  if (key_bound <= cmdp::kDirectSortBound) {
-    const cmdp::SortPlan plan =
-        cmdp::counting_sort_plan(*pool_, keys_, key_bound);
-    // Fold the sort_scale sub-keys back into per-cell tables: because the
-    // key of cell c lies in [c*scale, (c+1)*scale), the per-cell starts and
-    // counts drop out of the plan's key-starts table without another pass
-    // over the particles.  Read before the scatter: a single-lane plan's
-    // cursors alias the key-starts table and apply consumes them.
-    const std::uint32_t* ks = plan.key_starts.data();
-    cmdp::parallel_for(*pool_, pair_cells, [&](std::size_t c) {
-      const std::uint32_t s = ks[c * scale];
-      starts_[c] = s;
-      counts_[c] = ks[(c + 1) * scale] - s;
-    });
-    store_.scatter_sorted(*pool_, keys_, plan, scratch_);
-  } else {
-    // Key space too large for one counting pass (huge 3D grids): two-pass
-    // radix producing a permutation, gather-based reorder, then per-cell
-    // tables the classic way.
-    order_.resize(n);
-    cmdp::stable_sort_index(*pool_, keys_, key_bound, order_);
-    store_.reorder(*pool_, order_, scratch_);
-    if (dead > 0) {
-      store_.resize(n - dead);
-      keys_.resize(n - dead);
-    }
-    cmdp::histogram(*pool_, store_.cell, pair_cells, counts_);
-    cmdp::exclusive_scan<std::uint32_t>(
-        *pool_, counts_, starts_,
-        [](std::uint32_t a, std::uint32_t b) { return a + b; }, 0u);
-  }
-  if (dead > 0 && key_bound <= cmdp::kDirectSortBound) {
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(*pool_, keys_, sort_key_bound());
+  // Fold the kSortScale sub-keys back into per-cell tables: because the key
+  // of cell c lies in [c*kSortScale, (c+1)*kSortScale), the per-cell starts
+  // and counts drop out of the plan's key-starts table without another pass
+  // over the particles.  Read before the scatter: a single-lane plan's
+  // cursors alias the key-starts table and apply consumes them.
+  const std::uint32_t* ks = plan.key_starts.data();
+  cmdp::parallel_for(*pool_, pair_cells, [&](std::size_t c) {
+    const std::uint32_t s = ks[c * kSortScale];
+    starts_[c] = s;
+    counts_[c] = ks[(c + 1) * kSortScale] - s;
+  });
+  store_.scatter_sorted(*pool_, keys_, plan, scratch_);
+  if (dead > 0) {
     // Merged-away slots are now a contiguous tail behind the reservoir
     // band; drop them.
     store_.resize(n - dead);

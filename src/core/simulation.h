@@ -271,8 +271,6 @@ class Simulation {
   // load; key_from is the single derivation shared by the hot loop and
   // sort_key_for, so the scheme cannot silently diverge between them.
   struct KeyParams {
-    std::uint32_t scale = 1;
-    std::uint32_t mask = 0;  // scale - 1 when scale is a power of two
     bool randomize = false;
     bool dirty = false;
     std::uint64_t seed_round = 0;
@@ -282,13 +280,12 @@ class Simulation {
   std::uint32_t key_from(const KeyParams& kp, std::size_t i,
                          std::uint32_t cell) const;
   std::uint32_t sort_key_for(std::size_t i) const;
-  // Sort key space: pair cells * sort_scale, plus one reserved past-the-end
+  // Sort key space: pair cells * kSortScale, plus one reserved past-the-end
   // key value in axisymmetric runs for merged-away slots (they sort behind
   // the reservoir band and are truncated after the scatter).
   // SimConfig::validate() rejects configs for which this would wrap.
   std::uint32_t sort_key_bound() const {
-    return (ncells_ + res_cells_) *
-               static_cast<std::uint32_t>(cfg_.sort_scale) +
+    return (ncells_ + res_cells_) * kSortScale +
            (cfg_.axisymmetric ? 1u : 0u);
   }
   std::uint64_t bits_for(std::uint64_t i, std::uint64_t salt) const {
@@ -338,7 +335,6 @@ class Simulation {
   // balance pass); phase_sort hands them to cmdp::counting_sort_plan, which
   // owns the counting pass and its per-lane layout.
   std::vector<std::uint32_t> keys_;
-  std::vector<std::uint32_t> order_;  // radix-range gather permutation
   // Per pairing cell (real cells, then reservoir pseudo-cells): particle
   // count and first sorted position, filled by phase_sort.
   std::vector<std::uint32_t> counts_;

@@ -43,7 +43,7 @@ struct GasModel {
   }
 
   void validate() const {
-    if (potential == Potential::kInversePower && alpha <= 0.0)
+    if (potential == Potential::kInversePower && !(alpha > 0.0))
       throw std::invalid_argument("GasModel: alpha must be positive");
   }
 };

@@ -258,8 +258,6 @@ const std::vector<OverrideEntry>& override_table() {
          s.wall_sigma_override = cli::parse_double(k, v);
        }},
       // --- Algorithm knobs ---
-      {"sort_scale", "cell-key scale factor for sort randomization",
-       set_int(&core::SimConfig::sort_scale)},
       {"randomize_sort", "randomize the sort key",
        set_bool(&core::SimConfig::randomize_sort)},
       {"transpositions_per_collision", "post-collision transpositions",

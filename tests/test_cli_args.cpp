@@ -49,6 +49,9 @@ TEST(CliArgs, ParsesDoublesStrictly) {
   EXPECT_DOUBLE_EQ(cli::parse_double("m", "-1e-3"), -1e-3);
   EXPECT_THROW(cli::parse_double("m", "4.5x"), cli::ArgError);
   EXPECT_THROW(cli::parse_double("m", ""), cli::ArgError);
+  // strtod parses these, but no option takes a non-finite value.
+  for (const char* v : {"nan", "NaN", "-nan", "inf", "-inf", "infinity"})
+    EXPECT_THROW(cli::parse_double("m", v), cli::ArgError) << v;
 }
 
 TEST(CliArgs, ParsesBooleans) {

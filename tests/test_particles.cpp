@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <vector>
 
 #include "fixedpoint/fixed32.h"
 
@@ -31,41 +31,70 @@ TEST(ParticleStore, HasZAllocatesZ) {
   EXPECT_EQ(s.z[5], 9.0);
 }
 
+namespace {
+
+// Sorts `s` by descending index (key n-1-i for record i) through the store's
+// one reorder, the counting-sort plan plus scatter_sorted.
+template <class Real>
+void sort_reversed(cmdp::ThreadPool& pool, core::ParticleStore<Real>& s) {
+  const std::size_t n = s.size();
+  std::vector<std::uint32_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i)
+    keys[i] = static_cast<std::uint32_t>(n - 1 - i);
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(pool, keys, static_cast<std::uint32_t>(n));
+  core::ParticleStore<Real> scratch;
+  s.scatter_sorted(pool, keys, plan, scratch);
+}
+
+}  // namespace
+
 TEST(ParticleStore, ReorderAppliesPermutationToEveryArray) {
   cmdp::ThreadPool pool(3);
   core::ParticleStore<double> s;
+  s.has_z = true;
+  s.has_vib = true;
+  s.has_weight = true;
   const std::size_t n = 10000;
   s.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto v = static_cast<double>(i);
     s.x[i] = v;
     s.y[i] = v + 0.1;
+    s.z[i] = v + 0.15;
     s.ux[i] = v + 0.2;
     s.uy[i] = v + 0.3;
     s.uz[i] = v + 0.4;
     s.r0[i] = v + 0.5;
     s.r1[i] = v + 0.6;
+    s.v0[i] = v + 0.7;
+    s.v1[i] = v + 0.8;
+    s.weight[i] = v + 0.9;
     s.perm[i] = static_cast<cmdsmc::rng::PackedPerm>(i & 0x7fff);
     s.cell[i] = static_cast<std::uint32_t>(i);
     s.flags[i] = static_cast<std::uint8_t>(i & 1);
+    s.id[i] = static_cast<std::uint32_t>(3 * i + 1);
   }
-  // Reverse permutation.
-  std::vector<std::uint32_t> order(n);
-  for (std::size_t i = 0; i < n; ++i)
-    order[i] = static_cast<std::uint32_t>(n - 1 - i);
-  core::ParticleStore<double> scratch;
-  s.reorder(pool, order, scratch);
+  sort_reversed(pool, s);
+  ASSERT_EQ(s.size(), n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto v = static_cast<double>(n - 1 - i);
+    const std::size_t src = n - 1 - i;
+    const auto v = static_cast<double>(src);
     ASSERT_EQ(s.x[i], v);
     ASSERT_EQ(s.y[i], v + 0.1);
+    ASSERT_EQ(s.z[i], v + 0.15);
     ASSERT_EQ(s.ux[i], v + 0.2);
     ASSERT_EQ(s.uy[i], v + 0.3);
     ASSERT_EQ(s.uz[i], v + 0.4);
     ASSERT_EQ(s.r0[i], v + 0.5);
     ASSERT_EQ(s.r1[i], v + 0.6);
-    ASSERT_EQ(s.cell[i], static_cast<std::uint32_t>(n - 1 - i));
-    ASSERT_EQ(s.flags[i], static_cast<std::uint8_t>((n - 1 - i) & 1));
+    ASSERT_EQ(s.v0[i], v + 0.7);
+    ASSERT_EQ(s.v1[i], v + 0.8);
+    ASSERT_EQ(s.weight[i], v + 0.9);
+    ASSERT_EQ(s.perm[i], static_cast<cmdsmc::rng::PackedPerm>(src & 0x7fff));
+    ASSERT_EQ(s.cell[i], static_cast<std::uint32_t>(src));
+    ASSERT_EQ(s.flags[i], static_cast<std::uint8_t>(src & 1));
+    ASSERT_EQ(s.id[i], static_cast<std::uint32_t>(3 * src + 1));
   }
 }
 
@@ -76,11 +105,7 @@ TEST(ParticleStore, ReorderWorksForFixed32) {
   s.resize(n);
   for (std::size_t i = 0; i < n; ++i)
     s.x[i] = Fixed32::from_raw(static_cast<std::int32_t>(i));
-  std::vector<std::uint32_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::reverse(order.begin(), order.end());
-  core::ParticleStore<Fixed32> scratch;
-  s.reorder(pool, order, scratch);
+  sort_reversed(pool, s);
   for (std::size_t i = 0; i < n; ++i)
     ASSERT_EQ(s.x[i].raw, static_cast<std::int32_t>(n - 1 - i));
 }

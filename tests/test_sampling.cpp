@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "rng/rng.h"
 #include "rng/samplers.h"
@@ -50,20 +49,17 @@ struct CellRuns {
 // over `pair_cells` pairing cells.
 CellRuns sort_by_cell(core::ParticleStore<double>& s,
                       std::uint32_t pair_cells) {
-  std::vector<std::uint32_t> order(s.size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return s.cell[a] < s.cell[b];
-                   });
   cmdp::ThreadPool pool(1);
+  const cmdp::SortPlan plan =
+      cmdp::counting_sort_plan(pool, s.cell, pair_cells);
+  CellRuns runs{std::vector<std::uint32_t>(pair_cells),
+                std::vector<std::uint32_t>(pair_cells)};
+  for (std::uint32_t c = 0; c < pair_cells; ++c) {
+    runs.starts[c] = plan.key_starts[c];
+    runs.counts[c] = plan.key_starts[c + 1] - plan.key_starts[c];
+  }
   core::ParticleStore<double> scratch;
-  s.reorder(pool, order, scratch);
-  CellRuns runs{std::vector<std::uint32_t>(pair_cells, 0), {}};
-  for (std::uint32_t c : s.cell) ++runs.counts[c];
-  runs.starts.resize(pair_cells);
-  std::exclusive_scan(runs.counts.begin(), runs.counts.end(),
-                      runs.starts.begin(), 0u);
+  s.scatter_sorted(pool, s.cell, plan, scratch);
   return runs;
 }
 

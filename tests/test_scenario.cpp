@@ -81,7 +81,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
       {"plunger_trigger", "2.5"},
       {"wall", "diffuse_adiabatic"},
       {"twall", "0.25"},
-      {"sort_scale", "4"},
       {"randomize_sort", "false"},
       {"transpositions_per_collision", "2"},
       {"rounding", "truncate"},
@@ -113,7 +112,6 @@ TEST(ScenarioOverrides, RoundTripsEverySimConfigField) {
   EXPECT_EQ(c.upstream, geom::UpstreamMode::kSoftSource);
   EXPECT_DOUBLE_EQ(c.plunger_trigger, 2.5);
   EXPECT_EQ(c.wall, geom::WallModel::kDiffuseAdiabatic);
-  EXPECT_EQ(c.sort_scale, 4);
   EXPECT_FALSE(c.randomize_sort);
   EXPECT_EQ(c.transpositions_per_collision, 2);
   EXPECT_EQ(c.rounding, core::Rounding::kTruncate);
@@ -173,6 +171,9 @@ TEST(ScenarioOverrides, RejectsUnknownAndMalformedKeys) {
                cli::ArgError);
   EXPECT_THROW(scenario::apply_override(spec, "body.kind", "sphere"),
                cli::ArgError);
+  // The sort key scale is the constant core::kSortScale, not an option.
+  EXPECT_THROW(scenario::apply_override(spec, "sort_scale", "8"),
+               cli::ArgError);
   // The unknown-key message lists the valid keys.
   try {
     scenario::apply_override(spec, "mcah", "8");
@@ -205,24 +206,26 @@ TEST(ScenarioOverrides, AxisymmetricFlagRoundTripsAndRejectsIncompatible) {
 }
 
 TEST(ScenarioOverrides, SortKeyOverflowIsAConfigError) {
-  // (cells + reservoir pseudo-cells) * sort_scale must fit the 32-bit sort
-  // keys: 4096^2 cells * 256 wraps, * 255 does not.  The overflow is a
+  // (cells + reservoir pseudo-cells) * kSortScale (8) must fit the 32-bit
+  // sort keys: 32768^2 cells wrap only because of the factor 8, 16384^2
+  // do not.  The overflow is a
   // config error (CLI exit 2, "type": "config"), raised before any
   // allocation instead of crashing the sort.
   scenario::ScenarioSpec spec = scenario::get_scenario("wedge-mach4");
   for (const auto& [key, value] :
-       {std::pair{"nx", "4096"}, std::pair{"ny", "4096"},
-        std::pair{"sort_scale", "256"}, std::pair{"ppc", "0.001"}})
+       {std::pair{"nx", "32768"}, std::pair{"ny", "32768"},
+        std::pair{"ppc", "0.001"}})
     scenario::apply_override(spec, key, value);
   try {
     (void)spec.build_config();
     FAIL() << "sort key overflow accepted";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("sort_scale"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("sort key space"), std::string::npos);
     EXPECT_STREQ(cli::error_type(e), "config");
     EXPECT_EQ(cli::error_exit_code(e), 2);
   }
-  scenario::apply_override(spec, "sort_scale", "255");
+  scenario::apply_override(spec, "nx", "16384");
+  scenario::apply_override(spec, "ny", "16384");
   EXPECT_NO_THROW((void)spec.build_config());
   // A 3D grid too large for any key width is rejected, not wrapped.
   core::SimConfig huge;

@@ -4,11 +4,11 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 
 #include "audit/audit.h"
-#include "cmdp/sort.h"
 #include "geom/wedge.h"
 #include "scenario/scenario.h"
 
@@ -71,15 +71,31 @@ TEST(SimConfigValidate, RejectsNonsense) {
   EXPECT_THROW(with_wedge_body(bad).validate(), std::invalid_argument);
 
   bad = small_wedge_config();
-  bad.sort_scale = 0;
-  EXPECT_THROW(bad.validate(), std::invalid_argument);
-
-  bad = small_wedge_config();
   bad.transpositions_per_collision = 9;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 
   bad = small_wedge_config();
   bad.sigma = 1.0;  // Mach 4 stream would cross > 2 cells/step
+  EXPECT_THROW(bad.validate(), std::invalid_argument);
+
+  // NaN compares false both ways, so every range check must be written to
+  // fail on it (a `sigma <= 0` check lets a NaN sigma through).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double core::SimConfig::*field :
+       {&core::SimConfig::mach, &core::SimConfig::sigma,
+        &core::SimConfig::lambda_inf, &core::SimConfig::particles_per_cell,
+        &core::SimConfig::reservoir_fraction,
+        &core::SimConfig::plunger_trigger,
+        &core::SimConfig::vib_exchange_prob,
+        &core::SimConfig::vib_init_temperature}) {
+    bad = small_wedge_config();
+    bad.vibrational = true;
+    bad.*field = kNaN;
+    EXPECT_THROW(bad.validate(), std::invalid_argument);
+  }
+  bad = small_wedge_config();
+  bad.gas.potential = cmdsmc::physics::Potential::kInversePower;
+  bad.gas.alpha = kNaN;
   EXPECT_THROW(bad.validate(), std::invalid_argument);
 
   EXPECT_NO_THROW(small_wedge_config().validate());
@@ -305,21 +321,21 @@ void expect_same_counters(const core::SimCounters& a,
   EXPECT_EQ(a.merged, b.merged);
 }
 
-// Runs cfg at 1 and 4 lanes through phase_sort's radix branch (key space
-// past kDirectSortBound) and checks lane invariance plus the sort tables.
-// Returns the run's counters.
-core::SimCounters expect_radix_sort_lane_invariant(const core::SimConfig& cfg,
-                                                   int steps) {
+// Runs cfg at 1 and 4 lanes with a sort key space past 2^21 keys (a few
+// MiB of per-lane counting tables) and checks lane invariance plus the sort
+// tables.  Returns the run's counters.
+core::SimCounters expect_large_key_space_lane_invariant(
+    const core::SimConfig& cfg, int steps) {
   cmdp::ThreadPool pool1(1);
   cmdp::ThreadPool pool4(4);
   core::SimulationD a(cfg, &pool1);
   core::SimulationD b(cfg, &pool4);
   a.run(steps);
   b.run(steps);
-  // Pairing cells * sort_scale is the key space (plus the reserved dead key
+  // Pairing cells * kSortScale is the key space (plus the reserved dead key
   // in axisymmetric runs).
-  EXPECT_GT(a.sort_counts().size() * static_cast<std::size_t>(cfg.sort_scale),
-            std::size_t{cmdp::kDirectSortBound});
+  EXPECT_GT(a.sort_counts().size() * std::size_t{core::kSortScale},
+            std::size_t{1} << 21);
   EXPECT_GT(a.counters().collisions, 0u);
   expect_same_counters(a.counters(), b.counters());
   EXPECT_EQ(cmdsmc::audit::hash_store(a.particles()),
@@ -333,18 +349,18 @@ core::SimCounters expect_radix_sort_lane_invariant(const core::SimConfig& cfg,
 
 }  // namespace
 
-TEST(Simulation, RadixSortPathIsLaneInvariantPlanar) {
+TEST(Simulation, LargeKeySpaceIsLaneInvariantPlanar) {
   const core::SimConfig cfg = scenario_config(
-      "wedge-mach4", {{"nx", "200"}, {"sort_scale", "256"}, {"ppc", "4"}});
-  EXPECT_GT(expect_radix_sort_lane_invariant(cfg, 12).injected, 0u);
+      "duct3d", {{"nx", "128"}, {"ny", "64"}, {"nz", "40"}, {"ppc", "2"}});
+  EXPECT_GT(expect_large_key_space_lane_invariant(cfg, 8).injected, 0u);
 }
 
-TEST(Simulation, RadixSortPathIsLaneInvariantAxisymmetric) {
+TEST(Simulation, LargeKeySpaceIsLaneInvariantAxisymmetric) {
   const core::SimConfig cfg = scenario_config(
-      "biconic_axi", {{"nx", "240"}, {"sort_scale", "256"}});
+      "biconic_axi", {{"nx", "1200"}, {"ny", "240"}, {"ppc", "2"}});
   ASSERT_TRUE(cfg.axisymmetric);
-  // Merges exercise the dead-key truncation behind the radix reorder.
-  const core::SimCounters c = expect_radix_sort_lane_invariant(cfg, 12);
+  // Merges exercise the dead-key truncation behind the scatter.
+  const core::SimCounters c = expect_large_key_space_lane_invariant(cfg, 8);
   EXPECT_GT(c.cloned, 0u);
   EXPECT_GT(c.merged, 0u);
 }

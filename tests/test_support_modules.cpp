@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/checkpoint.h"
 #include "core/simulation.h"
@@ -109,6 +110,72 @@ TEST(Checkpoint, RejectsGarbageFile) {
   }
   core::ParticleStore<double> s;
   EXPECT_THROW(core::load_checkpoint(path, s), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+namespace {
+
+// A small store with every array filled, saved to `path`.
+core::ParticleStore<double> save_sample_store(const std::string& path,
+                                              std::size_t n) {
+  core::ParticleStore<double> s;
+  s.resize(n);
+  cmdsmc::rng::SplitMix64 g(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    s.x[i] = g.next_double();
+    s.y[i] = g.next_double();
+    s.perm[i] = cmdsmc::rng::identity_perm();
+    s.cell[i] = g.next_below(64);
+    s.id[i] = static_cast<std::uint32_t>(i);
+  }
+  core::save_checkpoint(path, s);
+  return s;
+}
+
+// Fails the test unless `fn` raises a std::runtime_error whose message starts
+// with "checkpoint:" (a typed load failure, not bad_alloc or length_error).
+template <class Fn>
+void expect_checkpoint_error(Fn&& fn) {
+  try {
+    fn();
+    ADD_FAILURE() << "corrupt checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("checkpoint:", 0), 0u) << e.what();
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "untyped failure: " << e.what();
+  }
+}
+
+}  // namespace
+
+TEST(Checkpoint, RejectsCorruptLengthPrefix) {
+  const std::string path = testing::TempDir() + "/cmdsmc_ckpt_prefix.bin";
+  const std::size_t n = 500;
+  // Store checkpoint layout: magic (8), scalar tag (4), three flag bytes,
+  // then x's 64-bit length prefix.
+  constexpr std::streamoff kXPrefix = 8 + 4 + 3;
+  for (const std::uint64_t bad :
+       {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+        std::uint64_t{n - 1}}) {
+    (void)save_sample_store(path, n);
+    {
+      std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+      f.seekp(kXPrefix);
+      f.write(reinterpret_cast<const char*>(&bad), sizeof(bad));
+    }
+    core::ParticleStore<double> r;
+    expect_checkpoint_error([&] { core::load_checkpoint(path, r); });
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Checkpoint, RejectsArraysOfUnequalLength) {
+  const std::string path = testing::TempDir() + "/cmdsmc_ckpt_ragged.bin";
+  core::ParticleStore<double> s = save_sample_store(path, 300);
+  s.id.pop_back();  // id one entry short of the other arrays
+  core::save_checkpoint(path, s);
+  core::ParticleStore<double> r;
+  expect_checkpoint_error([&] { core::load_checkpoint(path, r); });
   std::remove(path.c_str());
 }
 
