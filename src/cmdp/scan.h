@@ -1,13 +1,15 @@
 // Scan (parallel prefix) primitives, after Hillis & Steele, "Data Parallel
 // Algorithms", CACM 29(12).  The paper uses scans to obtain cell densities
-// and to allocate space when refilling the plunger void; tests and samplers
-// use the segmented forms.
+// and to allocate space when refilling the plunger void.  The library's one
+// caller is the counting sort (inclusive_scan over the key histogram); the
+// exclusive and segmented forms are the CM primitives, exercised only by
+// their tests and bench/micro_primitives — per-cell sums read the sort's
+// starts table instead.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "cmdp/parallel.h"
 #include "cmdp/thread_pool.h"
@@ -156,23 +158,6 @@ void segmented_inclusive_scan(ThreadPool& pool, std::span<const T> in,
       out[i] = op(c, out[i]);
     }
   });
-}
-
-// Marks segment starts given keys sorted ascending: flag[i] = 1 iff i == 0 or
-// keys[i] != keys[i-1].
-inline void mark_segment_starts(ThreadPool& pool,
-                                std::span<const std::uint32_t> keys,
-                                std::span<std::uint8_t> flags) {
-  parallel_for(pool, keys.size(), [&](std::size_t i) {
-    flags[i] = (i == 0 || keys[i] != keys[i - 1]) ? 1 : 0;
-  });
-}
-
-inline void mark_segment_starts(ThreadPool& pool,
-                                std::span<const std::uint32_t> keys,
-                                std::vector<std::uint8_t>& flags) {
-  flags.resize(keys.size());
-  mark_segment_starts(pool, keys, std::span<std::uint8_t>(flags));
 }
 
 }  // namespace cmdsmc::cmdp

@@ -3,14 +3,43 @@
 #include <algorithm>
 #include <numeric>
 
+#include "cmdp/parallel.h"
+
 namespace cmdsmc::cmdp {
 
 namespace {
 
+// Particles in each shard: the difference of the starts entries at its
+// bounds (a bound past the last cell stands for n).
+void fill_shard_counts(ShardPlan& plan, const std::vector<std::uint32_t>& starts,
+                       std::size_t n) {
+  const auto start_of = [&](std::uint32_t c) {
+    return c < starts.size() ? starts[c] : static_cast<std::uint32_t>(n);
+  };
+  plan.shard_cost.resize(plan.count());
+  for (std::size_t s = 0; s < plan.count(); ++s)
+    plan.shard_cost[s] = start_of(plan.bounds[s + 1]) - start_of(plan.bounds[s]);
+}
+
+// Max-lane / mean-lane particle count of the plan's current assignment.
+double lane_imbalance(const ShardPlan& plan) {
+  std::uint64_t max_load = 0;
+  std::uint64_t sum = 0;
+  for (unsigned t = 0; t < plan.lanes; ++t) {
+    std::uint64_t load = 0;
+    for (std::uint32_t k = plan.lane_begin[t]; k < plan.lane_begin[t + 1]; ++k)
+      load += plan.shard_cost[plan.order[k]];
+    max_load = std::max(max_load, load);
+    sum += load;
+  }
+  return sum > 0 ? static_cast<double>(max_load) * plan.lanes /
+                       static_cast<double>(sum)
+                 : 1.0;
+}
+
 // Greedy LPT shard -> lane assignment over plan.shard_cost; fills
-// plan.order / plan.lane_begin and returns the predicted max/mean lane-cost
-// imbalance.
-double assign_lanes(ShardPlan& plan) {
+// plan.order / plan.lane_begin.
+void assign_lanes(ShardPlan& plan) {
   const std::size_t nshards = plan.count();
   const unsigned lanes = plan.lanes;
   std::vector<std::uint32_t> by_cost(nshards);
@@ -20,7 +49,7 @@ double assign_lanes(ShardPlan& plan) {
                    [&](std::uint32_t a, std::uint32_t b) {
                      return plan.shard_cost[a] > plan.shard_cost[b];
                    });
-  std::vector<double> load(lanes, 0.0);
+  std::vector<std::uint64_t> load(lanes, 0);
   std::vector<std::uint32_t> lane_of(nshards, 0);
   for (const std::uint32_t s : by_cost) {
     unsigned best = 0;
@@ -40,73 +69,48 @@ double assign_lanes(ShardPlan& plan) {
                                  plan.lane_begin.end() - 1);
   for (std::size_t s = 0; s < nshards; ++s)
     plan.order[cur[lane_of[s]]++] = static_cast<std::uint32_t>(s);
-  double max_load = 0.0;
-  double sum = 0.0;
-  for (const double l : load) {
-    max_load = l > max_load ? l : max_load;
-    sum += l;
-  }
-  return sum > 0.0 ? max_load * lanes / sum : 1.0;
 }
 
 }  // namespace
 
-ShardPlan build_shard_plan(const std::vector<double>& cost, unsigned nshards,
-                           unsigned lanes) {
+std::vector<std::uint32_t> count_quantile_bounds(
+    const std::vector<std::uint32_t>& starts, std::size_t n, unsigned nparts) {
+  const auto ncells = static_cast<std::uint32_t>(starts.size());
+  std::vector<std::uint32_t> bounds(nparts + 1, 0);
+  bounds[nparts] = ncells;
+  for (unsigned k = 1; k < nparts; ++k) {
+    if (n == 0) {
+      bounds[k] = static_cast<std::uint32_t>(std::uint64_t{ncells} * k / nparts);
+      continue;
+    }
+    const auto target =
+        static_cast<std::uint32_t>(lane_range(n, k, nparts).begin);
+    bounds[k] = static_cast<std::uint32_t>(
+        std::lower_bound(starts.begin(), starts.end(), target) -
+        starts.begin());
+  }
+  return bounds;
+}
+
+ShardPlan build_shard_plan(const std::vector<std::uint32_t>& starts,
+                           std::size_t n, unsigned nshards, unsigned lanes) {
   ShardPlan plan;
   plan.lanes = lanes;
-  const std::size_t ncells = cost.size();
-  if (ncells == 0 || lanes == 0) return plan;
-  if (nshards < 1) nshards = 1;
-  if (nshards > ncells) nshards = static_cast<unsigned>(ncells);
-  std::vector<double> prefix(ncells + 1, 0.0);
-  for (std::size_t c = 0; c < ncells; ++c) prefix[c + 1] = prefix[c] + cost[c];
-  const double total = prefix[ncells];
-  plan.bounds.assign(nshards + 1, 0);
-  plan.bounds[nshards] = static_cast<std::uint32_t>(ncells);
-  for (unsigned k = 1; k < nshards; ++k) {
-    std::uint32_t b;
-    if (total > 0.0) {
-      const double target = total * k / nshards;
-      b = static_cast<std::uint32_t>(
-          std::lower_bound(prefix.begin() + 1, prefix.end(), target) -
-          prefix.begin());
-    } else {
-      // No cost signal (empty domain this step): equal-cell split.
-      b = static_cast<std::uint32_t>(ncells * k / nshards);
-    }
-    if (b < plan.bounds[k - 1]) b = plan.bounds[k - 1];
-    if (b > ncells) b = static_cast<std::uint32_t>(ncells);
-    plan.bounds[k] = b;
-  }
-  plan.shard_cost.resize(nshards);
-  for (unsigned s = 0; s < nshards; ++s)
-    plan.shard_cost[s] = prefix[plan.bounds[s + 1]] - prefix[plan.bounds[s]];
-  plan.imbalance = assign_lanes(plan);
+  if (starts.empty() || lanes == 0) return plan;
+  nshards = std::clamp(nshards, 1u, static_cast<unsigned>(starts.size()));
+  plan.bounds = count_quantile_bounds(starts, n, nshards);
+  fill_shard_counts(plan, starts, n);
+  assign_lanes(plan);
+  plan.imbalance = lane_imbalance(plan);
   return plan;
 }
 
-double shard_plan_imbalance(ShardPlan& plan, const std::vector<double>& cost) {
+double shard_plan_imbalance(ShardPlan& plan,
+                            const std::vector<std::uint32_t>& starts,
+                            std::size_t n) {
   if (!plan.active()) return 1.0;
-  const std::size_t nshards = plan.count();
-  plan.shard_cost.assign(nshards, 0.0);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    double acc = 0.0;
-    for (std::uint32_t c = plan.bounds[s]; c < plan.bounds[s + 1]; ++c)
-      acc += cost[c];
-    plan.shard_cost[s] = acc;
-  }
-  std::vector<double> load(plan.lanes, 0.0);
-  for (unsigned t = 0; t < plan.lanes; ++t)
-    for (std::uint32_t k = plan.lane_begin[t]; k < plan.lane_begin[t + 1]; ++k)
-      load[t] += plan.shard_cost[plan.order[k]];
-  double max_load = 0.0;
-  double sum = 0.0;
-  for (const double l : load) {
-    max_load = l > max_load ? l : max_load;
-    sum += l;
-  }
-  return sum > 0.0 ? max_load * plan.lanes / sum : 1.0;
+  fill_shard_counts(plan, starts, n);
+  return lane_imbalance(plan);
 }
 
 }  // namespace cmdsmc::cmdp

@@ -26,15 +26,6 @@ double PhaseTimers::total_seconds() const {
   return total;
 }
 
-std::vector<double> PhaseTimers::percentages() const {
-  std::vector<double> out(seconds_.size(), 0.0);
-  const double total = total_seconds();
-  if (total <= 0.0) return out;
-  for (std::size_t i = 0; i < seconds_.size(); ++i)
-    out[i] = 100.0 * seconds_[i] / total;
-  return out;
-}
-
 void PhaseTimers::reset() {
   std::fill(seconds_.begin(), seconds_.end(), 0.0);
   std::fill(lane_seconds_.begin(), lane_seconds_.end(), 0.0);

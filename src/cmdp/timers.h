@@ -46,9 +46,6 @@ class PhaseTimers : public LaneTimeSink {
   double total_seconds() const;
   const std::vector<std::string>& names() const { return names_; }
 
-  // Percentage of total time per phase, in registration order.
-  std::vector<double> percentages() const;
-
   void reset();
 
   // --- Per-lane accumulation ---
@@ -57,12 +54,8 @@ class PhaseTimers : public LaneTimeSink {
   void enable_lane_accumulation(unsigned lanes);
   void disable_lane_accumulation() { enable_lane_accumulation(0); }
   unsigned lanes() const { return lanes_; }
-  // Cumulative busy seconds of lane `tid` inside phase `id` (0 when lane
-  // accumulation is off).
-  double lane_seconds(std::size_t id, unsigned tid) const {
-    return lanes_ == 0 ? 0.0 : lane_seconds_[id * lanes_ + tid];
-  }
-  // The whole table, phase-major ([id * lanes() + tid]); empty when off.
+  // Cumulative busy seconds per (phase, lane), phase-major
+  // ([id * lanes() + tid]); empty when lane accumulation is off.
   const std::vector<double>& lane_seconds_table() const {
     return lane_seconds_;
   }

@@ -118,10 +118,10 @@ struct SimConfig {
   // --- Cell-block domain sharding (dynamic load balancing) ---
   // When on (and the pool has more than one lane), every per-cell phase —
   // selection+collision and field sampling — walks contiguous cell-block
-  // shards assigned to lanes by a greedy cost partitioner (cmdp/shard.h)
-  // instead of the static particle-balanced split.  The partitioner's
-  // constants (shards per lane, repartition trigger and interval, the
-  // timer-adapted cost blend) live in simulation.cpp.  Physics and sampled
+  // shards cut at particle-count quantiles and assigned to lanes by a
+  // greedy partitioner (cmdp/shard.h) instead of the static one-block-per-
+  // lane split.  The partitioner's constants (shards per lane, repartition
+  // trigger and interval) live in simulation.cpp.  Physics and sampled
   // fields are bit-identical either way: the partition only decides which
   // lane walks a cell block.
   bool shard_enable = true;

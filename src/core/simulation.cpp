@@ -7,6 +7,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "audit/audit.h"
 #include "cmdp/parallel.h"
 #include "cmdp/sort.h"
 #include "core/reservoir_policy.h"
@@ -31,14 +32,12 @@ constexpr double kInteriorMaxDisp = 2.0;
 constexpr double kInteriorDispL1 = 1.0;
 
 // Cell-block shard partitioner (update_shards).  Shards = lanes * per-lane
-// count.  A repartition fires when the predicted max/mean lane cost of the
-// current plan exceeds the trigger and at least the interval has passed
-// since the last one; the same interval paces the adaptation of the
-// pair-vs-particle cost blend, which starts at the initial weight.
+// count.  A repartition fires when the predicted max/mean lane particle
+// count of the current plan exceeds the trigger and at least the interval
+// has passed since the last one.
 constexpr unsigned kShardsPerLane = 4;
 constexpr double kShardRebalanceTrigger = 1.10;
 constexpr std::int64_t kShardRebalanceInterval = 8;
-constexpr double kShardInitialCollideWeight = 1.0;
 
 // Salts keep the independent random decisions of one (particle, step)
 // decorrelated.
@@ -122,7 +121,6 @@ Simulation<Real>::Simulation(const SimConfig& cfg, cmdp::ThreadPool* pool)
       sampler_(grid_, open_frac_, cfg_.particles_per_cell, cfg_.sigma,
                cell_volume_) {
   seed_round_ = rng::hash4_seed_round(cfg_.seed);
-  shard_collide_weight_ = kShardInitialCollideWeight;
   u_inf_ = cfg_.closed_box ? 0.0 : cfg_.freestream_speed();
   n_inf_ = cfg_.particles_per_cell;
   ncells_ = static_cast<std::uint32_t>(grid_.ncells());
@@ -916,52 +914,18 @@ void Simulation<Real>::update_shards() {
     shard_plan_.clear();
     return;
   }
-  // Adapt the pair-vs-particle cost blend from the aggregate phase timers
-  // (always collected, unlike the per-lane tables): seconds-per-candidate in
-  // the collide phase against seconds-per-particle in move+sort.  The blend
-  // only steers where boundaries land — it cannot perturb physics — so the
-  // nondeterminism of measured seconds is confined to performance.
-  adapt_np_ += store_.size();
-  if (step_ - adapt_last_step_ >= kShardRebalanceInterval) {
-    const double d_coll =
-        timers_.seconds(phase_id_[kPhaseCollide]) - adapt_collide0_;
-    const double d_other = timers_.seconds(phase_id_[kPhaseMove]) +
-                           timers_.seconds(phase_id_[kPhaseSort]) -
-                           adapt_other0_;
-    const std::uint64_t d_pairs = counters_.candidates - adapt_pairs0_;
-    const std::uint64_t d_np = adapt_np_ - adapt_np0_;
-    if (d_pairs > 1000 && d_np > 1000 && d_coll > 1e-5 && d_other > 1e-5) {
-      double target = (d_coll / static_cast<double>(d_pairs)) /
-                      (d_other / static_cast<double>(d_np));
-      target = target < 0.25 ? 0.25 : (target > 16.0 ? 16.0 : target);
-      shard_collide_weight_ += 0.5 * (target - shard_collide_weight_);
-      adapt_collide0_ += d_coll;
-      adapt_other0_ += d_other;
-      adapt_pairs0_ = counters_.candidates;
-      adapt_np0_ = adapt_np_;
-      adapt_last_step_ = step_;
-    }
-  }
+  const std::size_t n = store_.size();
   const std::uint32_t pair_cells = ncells_ + res_cells_;
-  shard_cost_.resize(pair_cells);
-  const bool res_collide = cfg_.reservoir_collisions;
-  const double cw = shard_collide_weight_;
-  const std::uint32_t* const countsp = counts_.data();
-  cmdp::parallel_for(*pool_, pair_cells, [&](std::size_t c) {
-    const double cnt = static_cast<double>(countsp[c]);
-    const bool collides = countsp[c] >= 2 && (c < ncells_ || res_collide);
-    shard_cost_[c] = cnt + (collides ? cw * (cnt * 0.5) : 0.0);
-  });
-  const unsigned nshards = lanes * kShardsPerLane;
   const bool stale = !shard_plan_.active() || shard_plan_.lanes != lanes ||
                      shard_plan_.bounds.back() != pair_cells;
   if (!stale) {
-    shard_cost_imbalance_ = cmdp::shard_plan_imbalance(shard_plan_, shard_cost_);
+    shard_cost_imbalance_ = cmdp::shard_plan_imbalance(shard_plan_, starts_, n);
     if (shard_cost_imbalance_ <= kShardRebalanceTrigger ||
         step_ - shard_last_step_ < kShardRebalanceInterval)
       return;
   }
-  shard_plan_ = cmdp::build_shard_plan(shard_cost_, nshards, lanes);
+  shard_plan_ =
+      cmdp::build_shard_plan(starts_, n, lanes * kShardsPerLane, lanes);
   ++shard_repartitions_;
   shard_last_step_ = step_;
   shard_post_imbalance_ = shard_plan_.imbalance;
@@ -1186,25 +1150,19 @@ void Simulation<Real>::for_each_cell_block(Fn&& run_cells) {
     run_cells(std::size_t{0}, std::size_t{pair_cells});
   } else if (shard_plan_.active() && shard_plan_.lanes == pool_->size()) {
     // Cell-block shards: each lane walks the contiguous cell blocks the
-    // cost partitioner assigned to it.
+    // partitioner assigned to it.
     cmdp::parallel_shards(*pool_, shard_plan_,
                           [&](std::uint32_t cbegin, std::uint32_t cend,
                               unsigned) {
                             run_cells(std::size_t{cbegin}, std::size_t{cend});
                           });
   } else {
-    // Static split (shard.enable=0): particle-balanced cell partition —
-    // lane t owns the cells whose first particle lies in its equal share of
-    // [0, n).
-    const unsigned lanes = pool_->size();
+    // Static split (shard.enable=0): lane t walks the t-th particle-count
+    // quantile of the cells, cut by the same rule as the shards.
+    const std::vector<std::uint32_t> bounds =
+        cmdp::count_quantile_bounds(starts_, n, pool_->size());
     pool_->parallel([&](unsigned tid) {
-      const cmdp::Range pr = cmdp::lane_range(n, tid, lanes);
-      const auto lo = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.begin));
-      const auto hi = std::lower_bound(starts_.begin(), starts_.end(),
-                                       static_cast<std::uint32_t>(pr.end));
-      run_cells(static_cast<std::size_t>(lo - starts_.begin()),
-                static_cast<std::size_t>(hi - starts_.begin()));
+      run_cells(std::size_t{bounds[tid]}, std::size_t{bounds[tid + 1]});
     });
   }
 }
@@ -1469,6 +1427,7 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
       state.surface_sums.size() != surf_.accumulated().size())
     throw std::invalid_argument(
         "Simulation::restore: sampler accumulator shape mismatch");
+  check_restored_store(store);
   sampler_.restore(state.field_samples, state.field_sums);
   surf_.restore(state.surface_samples, state.surface_sums);
   store_ = std::move(store);
@@ -1482,10 +1441,49 @@ void Simulation<Real>::restore(ParticleStore<Real> store,
   // across a different shard/lane configuration reproduces the same bits).
   shard_plan_.clear();
   shard_last_step_ = -1;
-  adapt_last_step_ = -1;
   shard_cost_imbalance_ = 0.0;
   shard_post_imbalance_ = 0.0;
   rebuild_interior_mask();
+}
+
+template <class Real>
+void Simulation<Real>::check_restored_store(
+    const ParticleStore<Real>& store) const {
+  const auto refuse = [](const std::string& why) {
+    throw std::invalid_argument("Simulation::restore: corrupt store: " + why);
+  };
+  std::vector<audit::Violation> bad;
+  audit::check_finite_store(store, step_, "restore", bad, 1);
+  if (bad.empty())
+    audit::check_in_domain(store, grid_, scene_, step_, "restore", bad, 1);
+  if (!bad.empty()) refuse(bad.front().detail);
+  // Flow particles sit in the cell their position lies in (closed on the
+  // upper face: a fixed-point coordinate may round onto it); reservoir
+  // particles, and only they, sit in the pairing band past the grid.
+  const std::uint32_t band_end = ncells_ + res_cells_;
+  for (std::size_t i = 0; i < store.size(); ++i) {
+    const std::uint32_t c = store.cell[i];
+    const bool res = store.flags[i] & ParticleStore<Real>::kReservoirFlag;
+    if (res != (c >= ncells_) || c >= band_end)
+      refuse("particle " + std::to_string(i) + " has cell " +
+             std::to_string(c) + (res ? " with" : " without") +
+             " the reservoir flag (grid cells [0, " + std::to_string(ncells_) +
+             "), reservoir band to " + std::to_string(band_end) + ")");
+    if (res) continue;
+    // check_in_domain skips weight <= 0 (slots merged away mid-sort); none
+    // survive a sort, so a saved one is corrupt.
+    if (store.has_weight && !(store.weight[i] > 0.0))
+      refuse("flow particle " + std::to_string(i) + " has weight " +
+             std::to_string(store.weight[i]));
+    const auto off_cell = [](double pos, int lo) {
+      return pos < lo || pos > lo + 1;
+    };
+    if (off_cell(N::to_double(store.x[i]), grid_.cell_ix(c)) ||
+        off_cell(N::to_double(store.y[i]), grid_.cell_iy(c)) ||
+        (store.has_z && off_cell(N::to_double(store.z[i]), grid_.cell_iz(c))))
+      refuse("flow particle " + std::to_string(i) + " is not in its cell " +
+             std::to_string(c));
+  }
 }
 
 template <class Real>

@@ -127,11 +127,13 @@ class Simulation {
   double plunger_x() const { return plunger_.x; }
 
   // Cell-block sharding summary (zeros while sharding is inactive: disabled,
-  // single lane, or no step executed yet).  cost_imbalance is the predicted
-  // max/mean lane cost of the assignment the last step executed under;
-  // post_imbalance is the same gauge right after the most recent
-  // repartition — the pair shows the balancer working (drift pushes
-  // cost_imbalance up, a repartition snaps it back to ~post_imbalance).
+  // single lane, or no step executed yet).  A shard's cost is its particle
+  // count.  cost_imbalance is the predicted max/mean lane particle count of
+  // the assignment the last step executed under; post_imbalance is the same
+  // gauge right after the most recent repartition — the pair shows the
+  // balancer working (drift pushes cost_imbalance up, a repartition snaps it
+  // back to ~post_imbalance).  Both are pure functions of the sorted store,
+  // so identical runs report identical stats.
   struct ShardStats {
     unsigned shards = 0;
     std::uint64_t repartitions = 0;  // cumulative plan rebuilds
@@ -211,9 +213,12 @@ class Simulation {
   };
   ResumeState resume_state() const;
   // Restores store + state saved by resume_state().  Throws
-  // std::invalid_argument when the accumulator shapes do not match this
-  // simulation's grid/scene (geometry mismatch).  Rebuilds the interior
-  // mask, which must be re-derived whenever the boundary state is replaced.
+  // std::invalid_argument, leaving the simulation untouched, when the
+  // accumulator shapes do not match this simulation's grid/scene (geometry
+  // mismatch) or the store is corrupt: a non-finite value, a flow particle
+  // outside the domain, inside a body, off its cell or of non-positive
+  // weight, or a reservoir particle outside the pairing band.  Rebuilds the interior mask, which
+  // must be re-derived whenever the boundary state is replaced.
   void restore(ParticleStore<Real> store, const ResumeState& state);
   // Provenance hash over everything that defines the run's geometry and
   // particle layout; checkpoints refuse to restore across a mismatch.
@@ -246,16 +251,17 @@ class Simulation {
   // scatter and dead-slot truncation).  Per-cell array-order sums, so the
   // result is independent of the lane count.
   void refresh_cell_weight();
-  // Evaluates the shard cost model against the fresh per-cell counts,
-  // repartitions when the predicted imbalance drifted past the threshold
-  // (or the plan is stale), and adapts the collide-weight blend from the
-  // aggregate phase timers.  Called at the end of phase_sort.
+  // Prices the current shard plan by particle count from the fresh starts_
+  // table and repartitions at count quantiles when the predicted imbalance
+  // drifted past the threshold (or the plan is stale).  A pure function of
+  // starts_ and the plan: no timer or counter.  Called at the end of
+  // phase_sort.
   void update_shards();
   // The one cell-walk dispatch of every per-cell phase: calls
   // run_cells(cbegin, cend) over disjoint ranges that together cover every
   // non-empty pairing cell of [0, ncells + res_cells) — serially on one
-  // lane or a small store, per shard under the cost plan, else over the
-  // static particle-balanced split.  Per-cell work is disjoint and every
+  // lane or a small store, per shard under the shard plan, else over the
+  // static particle-count split.  Per-cell work is disjoint and every
   // RNG stream is keyed by particle index and step, so the split never
   // changes a bit.
   template <class Fn>
@@ -298,6 +304,9 @@ class Simulation {
   std::uint32_t reservoir_pair_cell(std::uint64_t i) const;
 
   void rebuild_interior_mask();
+  // Throws std::invalid_argument when a store handed to restore() is
+  // corrupt (see restore); reads nothing but the store and the geometry.
+  void check_restored_store(const ParticleStore<Real>& store) const;
 
   // Telemetry bracketing for one observed step: snapshot the cumulative
   // counters/timers, then turn end-of-step deltas into obs_stats_.
@@ -348,20 +357,10 @@ class Simulation {
   // (never checkpointed — a resumed run rebuilds it on its first step, and
   // the assignment carries no physics).
   cmdp::ShardPlan shard_plan_;
-  std::vector<double> shard_cost_;  // per pairing cell, refreshed per step
-  double shard_collide_weight_ = 0.0;  // cost blend; the ctor seeds it
   std::uint64_t shard_repartitions_ = 0;
   double shard_cost_imbalance_ = 0.0;
   double shard_post_imbalance_ = 0.0;
   std::int64_t shard_last_step_ = -1;
-  // Collide-weight adaptation snapshots (phase seconds / counters at the
-  // last adaptation; np accumulates particle-steps between them).
-  std::int64_t adapt_last_step_ = -1;
-  double adapt_collide0_ = 0.0;
-  double adapt_other0_ = 0.0;
-  std::uint64_t adapt_pairs0_ = 0;
-  std::uint64_t adapt_np_ = 0;
-  std::uint64_t adapt_np0_ = 0;
 
   FieldSampler<Real> sampler_;
   bool sampling_ = false;

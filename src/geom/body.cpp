@@ -17,6 +17,10 @@ Body::Body(std::vector<Vec2> vertices, std::string name)
     : name_(std::move(name)), vertices_(std::move(vertices)) {
   const std::size_t n = vertices_.size();
   if (n < 3) throw std::invalid_argument("Body: need at least 3 vertices");
+  // NaN slips past every ordered compare below (area, edge length, box).
+  for (const Vec2& v : vertices_)
+    if (!std::isfinite(v.x) || !std::isfinite(v.y))
+      throw std::invalid_argument("Body: vertices must be finite");
   area_ = polygon_area(vertices_);
   if (area_ <= kEps)
     throw std::invalid_argument(

@@ -79,8 +79,9 @@ struct StepStats {
   // or a single-lane pool) ---
   unsigned shards = 0;              // shard count of the executing plan
   std::uint64_t repartitions = 0;   // cumulative shard-plan rebuilds
-  // Predicted max-lane / mean-lane cost (blended per-cell cost model) of
-  // the assignment this step executed under, and the same gauge evaluated
+  // Predicted max-lane / mean-lane particle count (a shard's cost is its
+  // particle count) of the assignment this step executed under, and the
+  // same gauge evaluated
   // right after the most recent repartition.  Together with the measured
   // per-phase `imbalance` below, the pair shows the balancer working:
   // drift pushes cost_imbalance above post_imbalance until a repartition

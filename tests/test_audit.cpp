@@ -69,13 +69,16 @@ struct SortFixture {
   }
 };
 
-// Four shards on two lanes over 16 pairing cells, costs descending so the
+// Four shards on two lanes over 16 pairing cells, counts descending so the
 // greedy assignment is non-trivial.
 cmdp::ShardPlan two_lane_plan() {
-  std::vector<double> cost(16);
-  for (std::size_t c = 0; c < cost.size(); ++c)
-    cost[c] = static_cast<double>(cost.size() - c);
-  return cmdp::build_shard_plan(cost, 4, 2);
+  std::vector<std::uint32_t> starts(16);
+  std::uint32_t n = 0;
+  for (std::size_t c = 0; c < starts.size(); ++c) {
+    starts[c] = n;
+    n += static_cast<std::uint32_t>(starts.size() - c);
+  }
+  return cmdp::build_shard_plan(starts, n, 4, 2);
 }
 
 template <class Real>

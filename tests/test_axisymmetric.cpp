@@ -199,6 +199,15 @@ TEST(Axisymmetric, CheckpointRoundTripReproducesTheRun) {
   EXPECT_EQ(resumed.counters().cloned, sim.counters().cloned);
   EXPECT_EQ(resumed.counters().merged, sim.counters().merged);
   std::remove(path.c_str());
+
+  // Merged-away (weight 0) slots never survive a sort, so a saved flow
+  // particle of weight 0 marks a corrupt store.
+  core::ParticleStore<double> bad = resumed.particles();
+  std::size_t i = 0;
+  while (bad.flags[i] & core::ParticleStore<double>::kReservoirFlag) ++i;
+  bad.weight[i] = 0.0;
+  EXPECT_THROW(resumed.restore(std::move(bad), resumed.resume_state()),
+               std::invalid_argument);
 }
 
 TEST(Axisymmetric, PlanarRunsCarryNoWeightArray) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 
 #include "geom/boundary.h"
@@ -90,6 +91,14 @@ TEST(Body, RejectsDegenerateInput) {
                std::invalid_argument);
   // Zero-length edge.
   EXPECT_THROW(geom::Body({{0, 0}, {1, 0}, {1, 0}, {0, 1}}),
+               std::invalid_argument);
+  // Non-finite vertices (NaN passes every ordered compare of the area,
+  // edge-length and bounding-box checks).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(geom::Body({{0, 0}, {1, 0}, {kNaN, 1}}), std::invalid_argument);
+  EXPECT_THROW(geom::Body({{0, 0}, {kInf, 0}, {0, 1}}), std::invalid_argument);
+  EXPECT_THROW(geom::Body::Wedge(kNaN, 12.0, 30.0 * kRad),
                std::invalid_argument);
   // Factory validation.
   EXPECT_THROW(geom::Body::Wedge(0.0, -1.0, 30.0 * kRad),

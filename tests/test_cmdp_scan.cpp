@@ -125,12 +125,3 @@ TEST(Scan, MaxScanWithNonAdditiveOperator) {
       std::numeric_limits<std::int64_t>::min());
   EXPECT_EQ(out, ref);
 }
-
-TEST(MarkSegmentStarts, FlagsKeyChanges) {
-  cmdp::ThreadPool pool(2);
-  std::vector<std::uint32_t> keys = {3, 3, 3, 5, 5, 9, 9, 9, 9, 12};
-  std::vector<std::uint8_t> flags;
-  cmdp::mark_segment_starts(pool, keys, flags);
-  const std::vector<std::uint8_t> expected = {1, 0, 0, 1, 0, 1, 0, 0, 0, 1};
-  EXPECT_EQ(flags, expected);
-}

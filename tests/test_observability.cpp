@@ -256,6 +256,32 @@ TEST(StepStats, ShardMetricsReportPlanAndImbalancePair) {
   EXPECT_EQ(srec.steps.back().repartitions, 0u);
 }
 
+TEST(StepStats, ShardStatsAreIdenticalAcrossIdenticalRuns) {
+  // The partition is priced by particle count alone, so two identical
+  // 4-lane runs must repartition on the same steps and report bit-equal
+  // gauges — no wall-clock timer steers it.
+  auto record = [] {
+    cmdp::ThreadPool pool(4);
+    core::SimulationD sim(small_cfg(), &pool);
+    Recorder rec;
+    sim.set_step_observer(&rec);
+    sim.run(60);
+    sim.set_step_observer(nullptr);
+    return rec.steps;
+  };
+  const auto a = record();
+  const auto b = record();
+  ASSERT_EQ(a.size(), b.size());
+  ASSERT_FALSE(a.empty());
+  EXPECT_GT(a.back().shards, 0u);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].shards, b[i].shards) << "step " << i;
+    EXPECT_EQ(a[i].repartitions, b[i].repartitions) << "step " << i;
+    EXPECT_EQ(a[i].cost_imbalance, b[i].cost_imbalance) << "step " << i;
+    EXPECT_EQ(a[i].post_imbalance, b[i].post_imbalance) << "step " << i;
+  }
+}
+
 TEST(TelemetryJsonl, LineCarriesFullSchema) {
   cmdp::ThreadPool pool(2);
   core::SimulationD sim(small_cfg(), &pool);

@@ -1,6 +1,7 @@
-// The cell-block shard partitioner: quantile boundary placement, greedy LPT
-// lane assignment, degenerate inputs (hot cells, all-zero cost), plan
-// re-evaluation, and the parallel_shards coverage contract.
+// The cell-block shard partitioner: count-quantile boundary placement over
+// the sort's starts table, greedy LPT lane assignment, degenerate inputs
+// (hot cells, no particles), plan re-evaluation, agreement with the static
+// split, and the parallel_shards coverage contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,12 +10,24 @@
 #include <numeric>
 #include <vector>
 
+#include "cmdp/parallel.h"
 #include "cmdp/shard.h"
 #include "cmdp/thread_pool.h"
 
 namespace {
 
 using namespace cmdsmc;
+
+// The sort's per-cell first-position table for the given per-cell counts.
+std::vector<std::uint32_t> starts_of(const std::vector<std::uint32_t>& counts) {
+  std::vector<std::uint32_t> starts(counts.size());
+  std::exclusive_scan(counts.begin(), counts.end(), starts.begin(), 0u);
+  return starts;
+}
+
+std::size_t total(const std::vector<std::uint32_t>& counts) {
+  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
+}
 
 // Every cell in [0, ncells) appears in exactly one shard, shards are
 // contiguous and ascending, and order/lane_begin index every shard once.
@@ -48,25 +61,26 @@ void check_integrity(const cmdp::ShardPlan& plan, std::size_t ncells,
 }
 
 TEST(ShardPlan, UniformCostSplitsAtQuantiles) {
-  const std::vector<double> cost(64, 1.0);
-  const auto plan = cmdp::build_shard_plan(cost, 8, 4);
+  const std::vector<std::uint32_t> counts(64, 1);
+  const auto plan = cmdp::build_shard_plan(starts_of(counts), 64, 8, 4);
   check_integrity(plan, 64, 4);
   ASSERT_EQ(plan.count(), 8u);
   for (std::size_t s = 0; s < 8; ++s) {
     EXPECT_EQ(plan.bounds[s + 1] - plan.bounds[s], 8u)
-        << "uniform cost must give equal-size shards";
-    EXPECT_DOUBLE_EQ(plan.shard_cost[s], 8.0);
+        << "uniform counts must give equal-size shards";
+    EXPECT_EQ(plan.shard_cost[s], 8u);
   }
   // Equal loads on every lane: perfectly balanced.
   EXPECT_DOUBLE_EQ(plan.imbalance, 1.0);
 }
 
 TEST(ShardPlan, BoundariesTrackCostNotCellCount) {
-  // All the cost lives in the first quarter (a shock layer): the shards
+  // All the particles crowd the first quarter (a shock layer): the shards
   // there must be narrow, the downstream ones wide.
-  std::vector<double> cost(100, 0.01);
-  for (int c = 0; c < 25; ++c) cost[c] = 10.0;
-  const auto plan = cmdp::build_shard_plan(cost, 10, 2);
+  std::vector<std::uint32_t> counts(100, 1);
+  for (int c = 0; c < 25; ++c) counts[c] = 1000;
+  const auto plan =
+      cmdp::build_shard_plan(starts_of(counts), total(counts), 10, 2);
   check_integrity(plan, 100, 2);
   const std::uint32_t first = plan.bounds[1] - plan.bounds[0];
   const std::uint32_t last = plan.bounds[plan.count()] -
@@ -76,11 +90,13 @@ TEST(ShardPlan, BoundariesTrackCostNotCellCount) {
 }
 
 TEST(ShardPlan, HotCellYieldsEmptyShardsNotASplitCell) {
-  // One cell carries ~all the cost across several quantiles.  The cell must
-  // not split; the plan absorbs it as empty shards beside one hot shard.
-  std::vector<double> cost(16, 1e-6);
-  cost[7] = 1000.0;
-  const auto plan = cmdp::build_shard_plan(cost, 8, 4);
+  // One cell holds ~all the particles across several quantiles.  The cell
+  // must not split; the plan absorbs it as empty shards beside one hot
+  // shard.
+  std::vector<std::uint32_t> counts(16, 1);
+  counts[7] = 1000;
+  const auto plan =
+      cmdp::build_shard_plan(starts_of(counts), total(counts), 8, 4);
   check_integrity(plan, 16, 4);
   std::size_t empties = 0, hot = 0;
   for (std::size_t s = 0; s < plan.count(); ++s) {
@@ -96,27 +112,29 @@ TEST(ShardPlan, HotCellYieldsEmptyShardsNotASplitCell) {
 }
 
 TEST(ShardPlan, GreedyAssignmentBalancesSkewedShards) {
-  // Shard costs engineered 8,7,6,...,1 via unit cells; greedy LPT on 2
-  // lanes reaches the optimum (18 | 18) here.
-  std::vector<double> cost;
-  for (int s = 8; s >= 1; --s)
-    for (int i = 0; i < s; ++i) cost.push_back(1.0);
-  const auto plan = cmdp::build_shard_plan(cost, 8, 2);
-  check_integrity(plan, cost.size(), 2);
-  std::vector<double> load(2, 0.0);
+  // Coarse cells (8, 7, ..., 1 particles) leave the quantile shards unequal
+  // (8, 7, 0, 6, 5, 4, 3, 3); greedy LPT on 2 lanes still lands within one
+  // shard of even.
+  std::vector<std::uint32_t> counts;
+  for (std::uint32_t c = 8; c >= 1; --c) counts.push_back(c);
+  const auto plan =
+      cmdp::build_shard_plan(starts_of(counts), total(counts), 8, 2);
+  check_integrity(plan, counts.size(), 2);
+  std::vector<std::uint64_t> load(2, 0);
   for (unsigned t = 0; t < 2; ++t)
     for (std::uint32_t k = plan.lane_begin[t]; k < plan.lane_begin[t + 1];
          ++k)
       load[t] += plan.shard_cost[plan.order[k]];
-  EXPECT_DOUBLE_EQ(load[0] + load[1], 36.0);
-  EXPECT_NEAR(load[0], load[1], 4.0 + 1e-12)
+  EXPECT_EQ(load[0] + load[1], 36u);
+  EXPECT_LE(std::max(load[0], load[1]) - std::min(load[0], load[1]), 4u)
       << "LPT must not leave more than one shard of spread";
   EXPECT_LE(plan.imbalance, 36.0 / 36.0 + 0.25);
 }
 
 TEST(ShardPlan, AllZeroCostFallsBackToEqualCells) {
-  const std::vector<double> cost(40, 0.0);
-  const auto plan = cmdp::build_shard_plan(cost, 4, 2);
+  // No particles this step: the cells split equally.
+  const std::vector<std::uint32_t> starts(40, 0);
+  const auto plan = cmdp::build_shard_plan(starts, 0, 4, 2);
   check_integrity(plan, 40, 2);
   ASSERT_EQ(plan.count(), 4u);
   for (std::size_t s = 0; s < 4; ++s)
@@ -124,53 +142,89 @@ TEST(ShardPlan, AllZeroCostFallsBackToEqualCells) {
 }
 
 TEST(ShardPlan, ShardCountClampsToCellCount) {
-  const std::vector<double> cost(3, 1.0);
-  const auto plan = cmdp::build_shard_plan(cost, 64, 2);
+  const std::vector<std::uint32_t> starts = starts_of({1, 1, 1});
+  const auto plan = cmdp::build_shard_plan(starts, 3, 64, 2);
   check_integrity(plan, 3, 2);
   EXPECT_LE(plan.count(), 3u);
-  const auto one = cmdp::build_shard_plan(cost, 0, 1);
+  const auto one = cmdp::build_shard_plan(starts, 3, 0, 1);
   check_integrity(one, 3, 1);
   EXPECT_EQ(one.count(), 1u);
   EXPECT_FALSE(one.active()) << "single lane never activates sharding";
 }
 
 TEST(ShardPlan, DeterministicForIdenticalInput) {
-  std::vector<double> cost(128);
-  for (std::size_t c = 0; c < cost.size(); ++c)
-    cost[c] = static_cast<double>((c * 2654435761u) % 97) + 0.5;
-  const auto a = cmdp::build_shard_plan(cost, 12, 3);
-  const auto b = cmdp::build_shard_plan(cost, 12, 3);
+  std::vector<std::uint32_t> counts(128);
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    counts[c] = static_cast<std::uint32_t>((c * 2654435761u) % 97);
+  const auto starts = starts_of(counts);
+  const auto a = cmdp::build_shard_plan(starts, total(counts), 12, 3);
+  const auto b = cmdp::build_shard_plan(starts, total(counts), 12, 3);
   EXPECT_EQ(a.bounds, b.bounds);
   EXPECT_EQ(a.order, b.order);
   EXPECT_EQ(a.lane_begin, b.lane_begin);
-  EXPECT_DOUBLE_EQ(a.imbalance, b.imbalance);
+  EXPECT_EQ(a.shard_cost, b.shard_cost);
+  EXPECT_EQ(a.imbalance, b.imbalance);
+}
+
+TEST(ShardPlan, OneShardPerLaneCutsWhereTheStaticSplitDoes) {
+  // Skewed occupancy with empty cells: the static split gives lane t the
+  // cells whose first particle lies in lane_range(n, t, lanes); a plan with
+  // one shard per lane must cut at exactly those cells (the static split
+  // reads count_quantile_bounds itself; this pins the rule).
+  std::vector<std::uint32_t> counts(500);
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    counts[c] = c % 7 == 3 ? 0 : static_cast<std::uint32_t>(1 + c * c % 61);
+  const auto starts = starts_of(counts);
+  const std::size_t n = total(counts);
+  for (const unsigned lanes : {2u, 3u, 4u, 7u}) {
+    const auto plan = cmdp::build_shard_plan(starts, n, lanes, lanes);
+    check_integrity(plan, counts.size(), lanes);
+    EXPECT_EQ(plan.bounds, cmdp::count_quantile_bounds(starts, n, lanes));
+    for (unsigned t = 0; t < lanes; ++t) {
+      const cmdp::Range pr = cmdp::lane_range(n, t, lanes);
+      const auto lo = std::lower_bound(starts.begin(), starts.end(),
+                                       static_cast<std::uint32_t>(pr.begin));
+      EXPECT_EQ(plan.bounds[t], static_cast<std::uint32_t>(lo - starts.begin()))
+          << "lanes " << lanes << " lane " << t;
+    }
+    EXPECT_EQ(plan.bounds[lanes], counts.size());
+    // Each shard's cost is the particle count of its cells.
+    for (unsigned s = 0; s < lanes; ++s) {
+      std::uint32_t expect = 0;
+      for (std::uint32_t c = plan.bounds[s]; c < plan.bounds[s + 1]; ++c)
+        expect += counts[c];
+      EXPECT_EQ(plan.shard_cost[s], expect) << "lanes " << lanes;
+    }
+  }
 }
 
 TEST(ShardPlan, ImbalanceReevaluationTracksFreshCosts) {
-  std::vector<double> cost(64, 1.0);
-  auto plan = cmdp::build_shard_plan(cost, 8, 4);
-  EXPECT_DOUBLE_EQ(cmdp::shard_plan_imbalance(plan, cost), 1.0);
-  // Load drifts into the first shard's cells: the stale assignment's
+  std::vector<std::uint32_t> counts(64, 1);
+  auto plan = cmdp::build_shard_plan(starts_of(counts), 64, 8, 4);
+  EXPECT_DOUBLE_EQ(cmdp::shard_plan_imbalance(plan, starts_of(counts), 64),
+                   1.0);
+  // Particles drift into the first shard's cells: the stale assignment's
   // predicted imbalance must rise without any boundary moving.
   const auto bounds_before = plan.bounds;
   for (std::uint32_t c = plan.bounds[0]; c < plan.bounds[1]; ++c)
-    cost[c] = 50.0;
-  const double imb = cmdp::shard_plan_imbalance(plan, cost);
+    counts[c] = 50;
+  const double imb =
+      cmdp::shard_plan_imbalance(plan, starts_of(counts), total(counts));
   EXPECT_GT(imb, 1.5);
   EXPECT_EQ(plan.bounds, bounds_before);
   // shard_cost was refreshed in place.
-  EXPECT_DOUBLE_EQ(plan.shard_cost[0],
-                   50.0 * (plan.bounds[1] - plan.bounds[0]));
+  EXPECT_EQ(plan.shard_cost[0], 50u * (plan.bounds[1] - plan.bounds[0]));
 }
 
 TEST(ShardPlan, ParallelShardsCoversEveryCellOnce) {
-  std::vector<double> cost(257);
-  for (std::size_t c = 0; c < cost.size(); ++c)
-    cost[c] = static_cast<double>(c % 13) + 1.0;
+  std::vector<std::uint32_t> counts(257);
+  for (std::size_t c = 0; c < counts.size(); ++c)
+    counts[c] = static_cast<std::uint32_t>(c % 13) + 1;
   cmdp::ThreadPool pool(4);
-  const auto plan = cmdp::build_shard_plan(cost, 16, pool.size());
+  const auto plan =
+      cmdp::build_shard_plan(starts_of(counts), total(counts), 16, pool.size());
   ASSERT_TRUE(plan.active());
-  std::vector<std::atomic<int>> hits(cost.size());
+  std::vector<std::atomic<int>> hits(counts.size());
   for (auto& h : hits) h.store(0);
   cmdp::parallel_shards(pool, plan,
                         [&](std::uint32_t cb, std::uint32_t ce, unsigned) {

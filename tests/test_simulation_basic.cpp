@@ -93,6 +93,11 @@ TEST(SimConfigValidate, RejectsNonsense) {
     bad.*field = kNaN;
     EXPECT_THROW(bad.validate(), std::invalid_argument);
   }
+  // A NaN body vertex would get a finite bounding box past the
+  // body-inside-domain check; the Body itself must refuse it.
+  bad = small_wedge_config();
+  bad.wedge_x0 = kNaN;
+  EXPECT_THROW(with_wedge_body(bad).validate(), std::invalid_argument);
   bad = small_wedge_config();
   bad.gas.potential = cmdsmc::physics::Potential::kInversePower;
   bad.gas.alpha = kNaN;

@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -308,6 +309,76 @@ TEST(Checkpoint, MidAveragingRoundTripReproducesTheRunExactly) {
   ASSERT_EQ(fa.samples, fc.samples);
   EXPECT_EQ(fa.density, fc.density);
   EXPECT_EQ(fa.t_total, fc.t_total);
+}
+
+TEST(Checkpoint, RestoreRejectsACorruptStoreAndKeepsRunning) {
+  cmdp::ThreadPool pool(2);
+  const core::SimConfig cfg = scene_cfg();
+  core::SimulationD src(cfg, &pool);
+  src.run(5);
+  const core::ParticleStore<double> saved = src.particles();
+  const auto state = src.resume_state();
+  constexpr auto kRes = core::ParticleStore<double>::kReservoirFlag;
+  auto first = [&](bool reservoir) {
+    std::size_t i = 0;
+    while (i < saved.size() && ((saved.flags[i] & kRes) != 0) != reservoir)
+      ++i;
+    return i;
+  };
+  const std::size_t flow = first(false);
+  const std::size_t res = first(true);
+  ASSERT_LT(flow, saved.size());
+  ASSERT_LT(res, saved.size());
+
+  // `sim` sees every corrupt restore; `twin` never does.
+  core::SimulationD sim(cfg, &pool);
+  core::SimulationD twin(cfg, &pool);
+  sim.run(3);
+  twin.run(3);
+  const std::uint32_t ncells = 56 * 32;
+  auto refuses = [&](const char* what, auto&& corrupt) {
+    core::ParticleStore<double> bad = saved;
+    corrupt(bad);
+    EXPECT_THROW(sim.restore(std::move(bad), state), std::invalid_argument)
+        << what;
+  };
+  refuses("NaN x", [&](auto& s) {
+    s.x[flow] = std::numeric_limits<double>::quiet_NaN();
+  });
+  refuses("x far outside the grid", [&](auto& s) { s.x[flow] = 1e9; });
+  refuses("cell not holding the position",
+          [&](auto& s) { s.cell[flow] = (s.cell[flow] + ncells / 2) % ncells; });
+  refuses("flow particle inside a body", [&](auto& s) {
+    s.x[flow] = 16.25;
+    s.y[flow] = 16.25;
+    s.cell[flow] = 16 * 56 + 16;
+  });
+  refuses("reservoir particle in a grid cell", [&](auto& s) { s.cell[res] = 0; });
+  refuses("reservoir flag on a grid cell",
+          [&](auto& s) { s.flags[flow] |= kRes; });
+
+  // The rejected restores touched nothing: sim still runs bit for bit with
+  // its twin.
+  sim.run(4);
+  twin.run(4);
+  EXPECT_EQ(sim.step_index(), twin.step_index());
+  EXPECT_EQ(sim.particles().x, twin.particles().x);
+  EXPECT_EQ(sim.particles().ux, twin.particles().ux);
+  EXPECT_EQ(sim.particles().cell, twin.particles().cell);
+
+  // The intact store is accepted and resumes the source run exactly.
+  EXPECT_NO_THROW(sim.restore(saved, state));
+  sim.run(3);
+  src.run(3);
+  EXPECT_EQ(sim.particles().x, src.particles().x);
+  EXPECT_EQ(sim.particles().cell, src.particles().cell);
+
+  // Fixed-point coordinates may round onto a cell's upper face; a genuine
+  // fixed-point store must still restore.
+  core::SimulationF fsrc(cfg, &pool);
+  fsrc.run(20);
+  core::SimulationF fdst(cfg, &pool);
+  EXPECT_NO_THROW(fdst.restore(fsrc.particles(), fsrc.resume_state()));
 }
 
 TEST(Checkpoint, RefusesRestoreAgainstMismatchedGeometry) {
